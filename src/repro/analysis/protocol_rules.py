@@ -1,15 +1,16 @@
 """Experiment protocol conformance, checked statically.
 
-The registry raises at *registration time* when a definition is malformed,
-and :class:`repro.api.protocol.Experiment` is ``runtime_checkable`` — but
-both only fire for code paths a test actually imports and instantiates.  A
-new experiment that forgets ``assemble`` fails the first time a user runs
-it, not in CI.  These rules close that gap:
+The registry raises at *registration time* when an experiment class is
+malformed, and :class:`repro.api.protocol.Experiment` is
+``runtime_checkable`` — but both only fire for code paths a test actually
+imports and instantiates.  A new experiment that forgets ``assemble`` fails
+the first time a user runs it, not in CI.  These rules close that gap:
 
-* EXP001 — every class decorated with ``@register_experiment`` defines (or
-  inherits from a non-stub base) ``config_cls``, ``preset_config`` and
-  ``build``, the full :class:`~repro.api.registry.ExperimentDefinition`
-  surface.
+* EXP001 — every class decorated with ``@register_experiment`` assigns (or
+  inherits an assignment of) ``config_cls`` and a literal ``PRESETS`` dict
+  whose keys cover the registry's preset names, *parsed from registry.py
+  itself*.  Bare annotations, such as the shell's declarations, do not
+  count.
 * EXP002 — every ``*Experiment`` class in ``repro/experiments`` and
   ``repro/api`` satisfies the :class:`~repro.api.protocol.Experiment`
   protocol surface, with the required surface *parsed from protocol.py
@@ -28,12 +29,11 @@ from repro.analysis.rules import ModuleContext, ProjectRule, register_rule, reso
 #: Where the protocol that defines the required surface lives.
 PROTOCOL_MODULE = "repro/api/protocol.py"
 
+#: Where the preset names every registered experiment must cover live.
+REGISTRY_MODULE = "repro/api/registry.py"
+
 #: Packages whose ``*Experiment`` classes must satisfy the protocol.
 _EXPERIMENT_PACKAGES = ("api", "experiments")
-
-#: The definition base class whose members are raising stubs, not
-#: implementations — inheriting from it alone satisfies nothing.
-_DEFINITION_BASE = "ExperimentDefinition"
 
 
 class _ClassIndex:
@@ -117,6 +117,43 @@ def _class_surface(class_def: ast.ClassDef) -> Tuple[Set[str], Set[str]]:
     return methods, attrs
 
 
+def _class_assignments(class_def: ast.ClassDef) -> Dict[str, ast.expr]:
+    """Name -> assigned value for the class-body assignments with a value."""
+    assigned: Dict[str, ast.expr] = {}
+    for node in class_def.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned[target.id] = node.value
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.value is not None
+        ):
+            assigned[node.target.id] = node.value
+    return assigned
+
+
+def extract_preset_names(registry_module: ModuleContext) -> Optional[Tuple[str, ...]]:
+    """The string items of the registry's module-level ``PRESETS`` tuple."""
+    for node in registry_module.tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if not any(isinstance(t, ast.Name) and t.id == "PRESETS" for t in targets):
+            continue
+        if isinstance(value, (ast.Tuple, ast.List)):
+            return tuple(
+                item.value
+                for item in value.elts
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
+    return None
+
+
 def extract_protocol_surface(
     protocol_module: ModuleContext,
 ) -> Optional[Tuple[Set[str], Set[str]]]:
@@ -144,17 +181,31 @@ def extract_protocol_surface(
 
 @register_rule
 class RegisteredDefinitionRule(ProjectRule):
-    """EXP001: ``@register_experiment`` classes carry the full definition surface."""
+    """EXP001: ``@register_experiment`` classes declare config_cls and literal presets."""
 
     rule_id = "EXP001"
     title = (
-        "every @register_experiment class defines config_cls, preset_config "
-        "and build (inherited stubs from ExperimentDefinition do not count)"
+        "every @register_experiment class assigns config_cls and a literal "
+        "PRESETS dict whose keys cover the presets declared in api/registry.py"
     )
 
     def check_project(
         self, modules: Dict[str, ModuleContext], root: Path
     ) -> List[Finding]:
+        registry_module = modules.get(REGISTRY_MODULE)
+        if registry_module is None:
+            return []  # not a repro tree shaped like this package
+        presets = extract_preset_names(registry_module)
+        if not presets:
+            return [
+                self.finding(
+                    REGISTRY_MODULE,
+                    0,
+                    "the PRESETS tuple is missing from api/registry.py; the "
+                    "preset contract cannot be checked",
+                    context="PRESETS",
+                )
+            ]
         index = _ClassIndex(modules)
         findings: List[Finding] = []
         for rel in sorted(modules):
@@ -164,25 +215,30 @@ class RegisteredDefinitionRule(ProjectRule):
                     continue
                 if not self._is_registered(module, node):
                     continue
-                provided: Set[str] = set()
-                for owner_module, owner in index.mro(module, node):
-                    if owner.name == _DEFINITION_BASE:
-                        continue  # raising stubs and config_cls = None
-                    methods, attrs = _class_surface(owner)
-                    provided |= methods | attrs
-                missing = sorted(
-                    member
-                    for member in ("config_cls", "preset_config", "build")
-                    if member not in provided
-                )
+                assigned: Dict[str, ast.expr] = {}
+                for _owner_module, owner in index.mro(module, node):
+                    for member, value in _class_assignments(owner).items():
+                        assigned.setdefault(member, value)  # nearest wins
+                missing = [] if "config_cls" in assigned else ["config_cls"]
+                declared = assigned.get("PRESETS")
+                if isinstance(declared, ast.Dict):
+                    keys = {
+                        key.value
+                        for key in declared.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    }
+                    missing += [f"PRESETS[{p}]" for p in presets if p not in keys]
+                else:
+                    missing.append("PRESETS")
                 if missing:
                     findings.append(
                         self.finding(
                             module.rel,
                             node.lineno,
-                            f"registered experiment definition {node.name} is "
-                            f"missing {', '.join(missing)}; the registry will "
-                            "reject or misbuild it the first time anything "
+                            f"registered experiment {node.name} is missing "
+                            f"{', '.join(missing)}; it needs config_cls and a "
+                            f"literal PRESETS dict covering {', '.join(presets)}, "
+                            "or the registry rejects it the first time anything "
                             "imports this module",
                             context=f"{node.name}:{','.join(missing)}",
                         )
@@ -270,7 +326,9 @@ class ExperimentProtocolRule(ProjectRule):
 
 __all__ = [
     "PROTOCOL_MODULE",
+    "REGISTRY_MODULE",
     "ExperimentProtocolRule",
     "RegisteredDefinitionRule",
+    "extract_preset_names",
     "extract_protocol_surface",
 ]

@@ -4,9 +4,11 @@ This package is the stable surface for defining and running evaluations:
 
 * :class:`~repro.api.protocol.Experiment` — the formal protocol every
   experiment satisfies (``name`` / ``describe()`` / ``cells(seeds)`` /
-  ``assemble(report, seeds, confidence)`` / ``run``).
+  ``assemble(report, seeds, confidence)`` / ``run``), and
+  :class:`~repro.api.protocol.ExperimentShell`, the implementation every
+  shipped experiment shares.
 * the **registry** — :func:`~repro.api.registry.register_experiment`
-  publishes an experiment under a name;
+  publishes an experiment class, with its presets as data, under a name;
   :func:`~repro.api.registry.get_experiment` builds one from a preset plus
   ``--set``-style overrides; :func:`~repro.api.registry.list_experiments`
   enumerates them.  The paper's figures (``fig4``–``fig8``), the three
@@ -36,14 +38,12 @@ Quick tour:
 See ``docs/api.md`` for the scenario-file schema and a worked example.
 """
 
-from repro.api.protocol import Experiment, ExperimentResult, run_experiment
+from repro.api.protocol import Experiment, ExperimentResult, ExperimentShell, run_experiment
 from repro.api.registry import (
     DEFAULT_SEED,
     PRESETS,
-    ExperimentDefinition,
     apply_overrides,
     describe_experiment,
-    experiment_definition,
     get_experiment,
     list_experiments,
     parse_set_options,
@@ -58,25 +58,23 @@ from repro.api.scenario import (
     parse_policy,
 )
 
-# Importing the definition modules is what populates the registry.
-from repro.api import ablations as _ablations  # noqa: F401
-from repro.api import figures as _figures  # noqa: F401
-from repro.api import population as _population  # noqa: F401
+# Importing the experiment modules is what populates the registry.
+from repro import experiments as _experiments  # noqa: F401
+from repro import population as _population  # noqa: F401
 
 __all__ = [
     "DEFAULT_SEED",
     "PRESETS",
     "TOML_AVAILABLE",
     "Experiment",
-    "ExperimentDefinition",
     "ExperimentResult",
+    "ExperimentShell",
     "ScenarioExperiment",
     "ScenarioPoint",
     "ScenarioResult",
     "ScenarioSpec",
     "apply_overrides",
     "describe_experiment",
-    "experiment_definition",
     "get_experiment",
     "list_experiments",
     "parse_policy",

@@ -1,4 +1,4 @@
-"""The formal ``Experiment`` protocol and the typed ``ExperimentResult``.
+"""The formal ``Experiment`` protocol, the shell that implements it, and ``ExperimentResult``.
 
 Before this module existed the contract between the CLI, the sweep runner
 and the figure modules was informal: every ``FigNExperiment`` happened to
@@ -8,6 +8,12 @@ expose ``cells()`` / ``run()`` / ``assemble()`` and a comment in
 the figures, the ablations, a :class:`~repro.api.scenario.ScenarioExperiment`
 built from a TOML file, or user code — plugs into the registry, the CLI and
 the sweep runner identically.
+
+:class:`ExperimentShell` is the one implementation every shipped experiment
+shares: construction, seed resolution, cell expansion, ``run`` and the
+single-seed/aggregated view ``assemble`` reads from.  An experiment adds only
+its configuration, its grid and the function that turns the view into its
+typed result.
 
 :func:`run_experiment` is the one-call entry point: expand the experiment's
 cells, execute them through a :class:`~repro.runner.runner.SweepRunner`
@@ -20,18 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
     Tuple,
+    Type,
     runtime_checkable,
 )
 
-from repro.experiments.base import resolve_seeds
-from repro.runner import CellResult, SweepCell, SweepReport, SweepRunner
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    # The experiment modules import this one at import time, and the runner
+    # imports the experiment package, so runtime imports stay inside calls.
+    from repro.runner import CellResult, GridSpec, SweepCell, SweepReport, SweepRunner
 
 
 @runtime_checkable
@@ -88,6 +100,120 @@ class Experiment(Protocol):
     ) -> Any:
         """Fold a sweep report containing this experiment's cells into a result."""
         ...
+
+
+class Rates(NamedTuple):
+    """Empirical detection rates read off a view, feature-major, with intervals."""
+
+    #: ``{feature: {x: rate}}`` — or ``{feature: {x: {n: rate}}}`` when no
+    #: single sample size was selected.
+    empirical: Dict[str, Dict[Any, Any]]
+    #: The bootstrap intervals in the same shape, or ``None`` when the view
+    #: carries none (single seed, or no confidence level requested).
+    ci: Optional[Dict[str, Dict[Any, Any]]]
+    confidence: Optional[float]
+
+
+class ExperimentShell:
+    """The body every experiment shares: configuration, cells, run and view.
+
+    A subclass registered with
+    :func:`~repro.api.registry.register_experiment` declares its
+    configuration dataclass (``config_cls``), its presets as data
+    (``PRESETS``: preset name → configuration field overrides, applied to
+    ``config_cls(seed=...)`` by :func:`~repro.api.registry.get_experiment`)
+    and a one-line ``summary``.  It implements :meth:`grid` — or
+    :meth:`expand` when its cells are not one grid — and :meth:`to_result`,
+    which turns the view of its cells into the experiment's typed result.
+    """
+
+    name: str
+    config_cls: Type[Any]
+    PRESETS: Mapping[str, Mapping[str, Any]]
+    summary: str
+
+    def __init__(self, config: Any = None) -> None:
+        self.config = config if config is not None else self.config_cls()
+
+    def describe(self) -> str:
+        """One-line summary shown by ``repro list``."""
+        return self.summary
+
+    def grid(self, seeds: Optional[Sequence[int]] = None) -> "GridSpec":
+        """The experiment's grid, fanned out over the master seeds."""
+        raise NotImplementedError
+
+    def expand(self, seeds: Tuple[int, ...]) -> "List[SweepCell]":
+        """The experiment's cells at resolved master seeds."""
+        return self.grid(seeds).cells()
+
+    def to_result(self, view: Any, report: Any, seeds: Tuple[int, ...]) -> Any:
+        """The typed result from the (possibly seed-aggregated) view.
+
+        ``report`` is the raw sweep report, for results that read what
+        aggregation does not carry (per-seed confusion matrices).
+        """
+        raise NotImplementedError
+
+    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
+        """The experiment's grid as schedulable sweep cells."""
+        from repro.experiments.base import resolve_seeds
+
+        return self.expand(resolve_seeds(self.config.seed, seeds))
+
+    def run(
+        self,
+        runner: "Optional[SweepRunner]" = None,
+        seeds: Optional[Sequence[int]] = None,
+        confidence: Optional[float] = None,
+    ) -> Any:
+        """Execute the cells and assemble the experiment-specific result."""
+        from repro.runner import SweepRunner
+
+        runner = runner if runner is not None else SweepRunner()
+        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
+
+    def assemble(
+        self,
+        report: Any,
+        seeds: Optional[Sequence[int]] = None,
+        confidence: Optional[float] = None,
+    ) -> Any:
+        """Fold a sweep report containing this experiment's cells into a result."""
+        from repro.experiments.base import resolve_seeds
+        from repro.runner import experiment_view
+
+        resolved = resolve_seeds(self.config.seed, seeds)
+        view = experiment_view(report, self.expand(resolved), confidence=confidence)
+        return self.to_result(view, report, resolved)
+
+    @staticmethod
+    def read_rates(
+        view: Any,
+        keys: Mapping[Any, str],
+        features: Sequence[str],
+        sample_size: Optional[int] = None,
+    ) -> Rates:
+        """The empirical rates and intervals of the grid points ``keys`` maps to.
+
+        ``keys`` maps each x-axis value to its grid-point key.  With a
+        ``sample_size`` every entry is the rate at that size; without, it is
+        the point's whole ``{n: rate}`` map.
+        """
+        empirical: Dict[str, Dict[Any, Any]] = {feature: {} for feature in features}
+        ci: Dict[str, Dict[Any, Any]] = {feature: {} for feature in features}
+        confidence: Optional[float] = None
+        for x, key in keys.items():
+            cell = view[key]
+            cell_ci = getattr(cell, "detection_rate_ci", None)
+            for feature in features:
+                by_n = cell.empirical_detection_rate[feature]
+                empirical[feature][x] = by_n if sample_size is None else by_n[sample_size]
+                if cell_ci is not None:
+                    ci_by_n = cell_ci[feature]
+                    ci[feature][x] = ci_by_n if sample_size is None else ci_by_n[sample_size]
+                    confidence = cell.confidence
+        return Rates(empirical, ci if confidence is not None else None, confidence)
 
 
 @dataclass
@@ -167,6 +293,9 @@ def run_experiment(
     ``preset`` and ``overrides`` are recorded verbatim in the result's
     provenance; pass what the experiment was built from (the CLI does).
     """
+    from repro.experiments.base import resolve_seeds
+    from repro.runner import SweepRunner
+
     runner = runner if runner is not None else SweepRunner()
     cells = experiment.cells(seeds)
     report = runner.run(cells)
@@ -184,4 +313,4 @@ def run_experiment(
     )
 
 
-__all__ = ["Experiment", "ExperimentResult", "run_experiment"]
+__all__ = ["Experiment", "ExperimentResult", "ExperimentShell", "Rates", "run_experiment"]

@@ -1,27 +1,30 @@
 """The experiment registry: plugin-style registration and typed lookup.
 
-Experiments are published by registering a small *definition* class:
+Experiments are published by registering the experiment class itself; its
+presets are data:
 
 .. code-block:: python
 
-    from repro.api import register_experiment, ExperimentDefinition
+    from repro.api import ExperimentShell, register_experiment
 
     @register_experiment("fig6")
-    class Fig6Definition(ExperimentDefinition):
-        \"\"\"Figure 6: detection rate vs shared-link utilization.\"\"\"
-
+    class Fig6Experiment(ExperimentShell):
         config_cls = Fig6Config
+        PRESETS = {
+            "paper": {},
+            "fast": {"trials": 15, "mode": CollectionMode.HYBRID},
+            "quick": {...},
+            "smoke": {...},
+        }
+        summary = "Figure 6: ..."
 
-        def build(self, config):
-            return Fig6Experiment(config)
+        def grid(self, seeds): ...
+        def to_result(self, view, report, seeds): ...
 
-        def preset_config(self, preset, seed):
-            ...
-
-A definition owns the mapping from a named *preset* (``paper`` / ``fast`` /
-``quick`` / ``smoke``) plus a master seed to a typed configuration, and the
-construction of the experiment object from that configuration.  Consumers
-never touch definitions directly:
+A preset (``paper`` / ``fast`` / ``quick`` / ``smoke``) is a mapping of
+configuration field overrides; the configuration at master seed ``seed`` is
+``replace(config_cls(seed=seed), **PRESETS[preset])``.  Consumers never
+touch the classes directly:
 
 * :func:`get_experiment` — ``get_experiment("fig6", preset="fast",
   overrides={"trials": 30})`` builds a ready-to-run
@@ -54,71 +57,38 @@ PRESETS: Tuple[str, ...] = ("paper", "fast", "quick", "smoke")
 #: Default master seed of CLI runs (the paper's publication year).
 DEFAULT_SEED = 2003
 
-
-class ExperimentDefinition:
-    """Base class for registry entries.
-
-    Subclasses set :attr:`config_cls` and implement :meth:`preset_config`
-    and :meth:`build`.
-    """
-
-    #: Registry name; filled in by :func:`register_experiment`.
-    name: str = ""
-
-    #: The experiment's configuration dataclass.
-    config_cls: Optional[Type[Any]] = None
-
-    def preset_config(self, preset: str, seed: int) -> Any:
-        """The configuration realising ``preset`` at master seed ``seed``."""
-        raise NotImplementedError
-
-    def build(self, config: Any) -> Experiment:
-        """Construct the experiment object from a configuration."""
-        raise NotImplementedError
-
-    @property
-    def summary(self) -> str:
-        """One-line description shown by ``repro list``.
-
-        Delegates to the built experiment's ``describe()`` so there is a
-        single source of truth for every experiment's summary — a definition
-        docstring cannot drift from what the experiment says about itself.
-        """
-        return self.build(self.preset_config("smoke", DEFAULT_SEED)).describe()
+_REGISTRY: Dict[str, Type[Any]] = {}
 
 
-_REGISTRY: Dict[str, ExperimentDefinition] = {}
+def register_experiment(name: str) -> Callable[[Type[Any]], Type[Any]]:
+    """Class decorator registering an experiment class under ``name``.
 
-
-def register_experiment(
-    name: str,
-) -> Callable[[Type[ExperimentDefinition]], Type[ExperimentDefinition]]:
-    """Class decorator registering an :class:`ExperimentDefinition` under ``name``.
-
-    Names must be unique; re-registering a name is almost always an import
-    mistake and raises loudly.
+    The class must carry a configuration dataclass ``config_cls`` and a
+    ``PRESETS`` mapping that covers every preset; the decorator sets its
+    ``name``.  Names must be unique; re-registering a name is almost always
+    an import mistake and raises loudly.
     """
     if not isinstance(name, str) or not name:
         raise ConfigurationError(f"experiment name {name!r} must be a non-empty string")
 
-    def decorator(cls: Type[ExperimentDefinition]) -> Type[ExperimentDefinition]:
-        if not (isinstance(cls, type) and issubclass(cls, ExperimentDefinition)):
-            raise ConfigurationError(
-                f"@register_experiment({name!r}) must decorate an "
-                f"ExperimentDefinition subclass, got {cls!r}"
-            )
+    def decorator(cls: Type[Any]) -> Type[Any]:
         if name in _REGISTRY:
             raise ConfigurationError(
                 f"experiment {name!r} is already registered "
-                f"(by {type(_REGISTRY[name]).__name__})"
+                f"(by {_REGISTRY[name].__name__})"
             )
-        definition = cls()
-        definition.name = name
-        if definition.config_cls is None or not is_dataclass(definition.config_cls):
+        config_cls = getattr(cls, "config_cls", None)
+        if config_cls is None or not is_dataclass(config_cls):
             raise ConfigurationError(
                 f"experiment {name!r}: config_cls must be a configuration dataclass"
             )
-        _REGISTRY[name] = definition
+        missing = [p for p in PRESETS if p not in getattr(cls, "PRESETS", {})]
+        if missing:
+            raise ConfigurationError(
+                f"experiment {name!r}: PRESETS is missing {', '.join(missing)}"
+            )
+        cls.name = name
+        _REGISTRY[name] = cls
         return cls
 
     return decorator
@@ -129,20 +99,9 @@ def list_experiments() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def experiment_definition(name: str) -> ExperimentDefinition:
-    """The registry entry for ``name``; unknown names raise with the known set."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; registered experiments: {known}"
-        ) from None
-
-
 def describe_experiment(name: str) -> str:
     """One-line summary of a registered experiment."""
-    return experiment_definition(name).summary
+    return get_experiment(name, preset="smoke").describe()
 
 
 def get_experiment(
@@ -151,16 +110,31 @@ def get_experiment(
     seed: int = DEFAULT_SEED,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> Experiment:
-    """Build a registered experiment from a preset plus optional overrides."""
-    definition = experiment_definition(name)
+    """Build a registered experiment from a preset plus optional overrides.
+
+    The master seed is ``seed`` alone: an override may not set it, because
+    the CLI fans multi-seed sweeps out from ``--seed``.
+    """
+    try:
+        cls = _REGISTRY[name]
+    except KeyError:
+        known = ", ".join(sorted(_REGISTRY)) or "(none)"
+        raise ConfigurationError(
+            f"unknown experiment {name!r}; registered experiments: {known}"
+        ) from None
     if preset not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {preset!r}; choose one of {', '.join(PRESETS)}"
         )
-    config = definition.preset_config(preset, seed)
+    if overrides and "seed" in overrides:
+        raise ConfigurationError(
+            "the master seed is not a --set field; pass it with --seed "
+            "(and --seeds for a multi-seed run)"
+        )
+    config = replace(cls.config_cls(seed=seed), **cls.PRESETS[preset])
     if overrides:
         config = apply_overrides(config, overrides)
-    return definition.build(config)
+    return cls(config)
 
 
 # ------------------------------------------------------------------ overrides
@@ -259,10 +233,8 @@ def apply_overrides(config: Any, overrides: Mapping[str, Any]) -> Any:
 __all__ = [
     "DEFAULT_SEED",
     "PRESETS",
-    "ExperimentDefinition",
     "apply_overrides",
     "describe_experiment",
-    "experiment_definition",
     "get_experiment",
     "list_experiments",
     "parse_set_options",

@@ -70,12 +70,9 @@ from typing import (
     Union,
 )
 
+from repro.api.protocol import ExperimentShell
 from repro.api.registry import DEFAULT_SEED
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import closed_form_rate
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -87,7 +84,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec
 
 try:  # Python 3.11+; 3.10 installs the tomli backport (see pyproject.toml).
     import tomllib as _toml
@@ -567,17 +564,23 @@ class ScenarioResult:
         return render_experiment_report(title, sections)
 
 
-class ScenarioExperiment:
-    """A declarative scenario as a first-class :class:`Experiment`."""
+class ScenarioExperiment(ExperimentShell):
+    """A declarative scenario as a first-class :class:`Experiment`.
 
-    def __init__(self, spec: ScenarioSpec) -> None:
-        self.spec = spec
-        self.name = spec.name
+    The spec is the experiment's typed configuration.
+    """
+
+    config_cls = ScenarioSpec
 
     @property
-    def config(self) -> ScenarioSpec:
-        """The spec doubles as the experiment's typed configuration."""
-        return self.spec
+    def spec(self) -> ScenarioSpec:
+        """The scenario spec (the experiment's configuration)."""
+        return self.config
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        """The spec's name, prefix of every cell key."""
+        return self.config.name
 
     def describe(self) -> str:
         """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
@@ -585,76 +588,40 @@ class ScenarioExperiment:
             f"declarative scenario {self.spec.name!r}"
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (grid point, seed)."""
-        return self.grid(seeds).cells()
-
     def grid(self, seeds: Optional[Sequence[int]] = None) -> "GridSpec":
         """The spec's grid (see :meth:`ScenarioSpec.grid`)."""
         return self.spec.grid(seeds)
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> ScenarioResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report: Any,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> ScenarioResult:
-        """Build the scenario result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> ScenarioResult:
+        """Empirical rates per (grid point, feature, sample size) against the theorems."""
         spec = self.spec
-        resolved = resolve_seeds(spec.seed, seeds)
-        grid = self.grid(resolved)
-        view = experiment_view(report, grid, confidence=confidence)
-        empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
-        theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}
-        empirical_ci: Dict[str, Dict[str, Dict[int, Tuple[float, float]]]] = {}
-        ratios: Dict[str, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for point in grid.points:
-            cell = view[point.key]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            r = point.scenario.variance_ratio()
-            ratios[point.key] = r
-            empirical[point.key] = {name: {} for name in spec.features}
-            theoretical[point.key] = {name: {} for name in spec.features}
-            empirical_ci[point.key] = {name: {} for name in spec.features}
-            for name in spec.features:
-                for n in spec.sample_sizes:
-                    empirical[point.key][name][n] = cell.empirical_detection_rate[name][n]
-                    if cell_ci is not None:
-                        empirical_ci[point.key][name][n] = cell_ci[name][n]
-                        has_ci = True
-                        result_confidence = getattr(cell, "confidence", None)
-                    if name == "mean":
-                        theoretical[point.key][name][n] = detection_rate_mean(r)
-                    elif name == "variance":
-                        theoretical[point.key][name][n] = detection_rate_variance(r, n)
-                    elif name == "entropy":
-                        theoretical[point.key][name][n] = detection_rate_entropy(r, n)
-                    else:
-                        # Extension features have no closed form in the paper.
-                        theoretical[point.key][name][n] = float("nan")
+        points = self.grid(seeds).points
+        rates = self.read_rates(view, {p.key: p.key for p in points}, spec.features)
+        ratios = {point.key: point.scenario.variance_ratio() for point in points}
         return ScenarioResult(
             spec=spec,
-            empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
+            empirical_detection_rate={
+                key: {name: rates.empirical[name][key] for name in spec.features}
+                for key in ratios
+            },
+            theoretical_detection_rate={
+                key: {
+                    name: {n: closed_form_rate(name, r, n) for n in spec.sample_sizes}
+                    for name in spec.features
+                }
+                for key, r in ratios.items()
+            },
             variance_ratios=ratios,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=(
+                {
+                    key: {name: rates.ci[name][key] for name in spec.features}
+                    for key in ratios
+                }
+                if rates.ci is not None
+                else None
+            ),
+            n_seeds=len(seeds),
+            confidence=rates.confidence,
         )
 
 

@@ -4,10 +4,10 @@ The paper derives *approximate* closed forms (Theorems 1-3) because its goal
 is to expose how the detection rate scales with ``r`` and ``n``.  Under the
 same modelling assumptions (equations (12)-(15): the PIAT is normal with a
 rate-independent mean and rate-dependent variance) the Bayes error can also
-be computed exactly, which this module does.  The experiments report all
-three — empirical, closed-form and exact — so the reader can see how much of
-any discrepancy comes from the approximation versus from the Gaussian model
-itself.
+be computed exactly, which this module does.  Figure 4 reports all three —
+empirical, closed-form and exact — so the reader can see how much of any
+discrepancy comes from the approximation versus from the Gaussian model
+itself; the other experiments report the empirical and closed-form rates.
 
 All functions assume two equiprobable payload rates, the paper's evaluation
 setting; the exact expressions only depend on the variance ratio ``r``.
@@ -91,7 +91,22 @@ def detection_rate_entropy_exact(r: float, sample_size: float) -> float:
     return detection_rate_variance_exact(r, sample_size)
 
 
+_EXACT_RATES = {
+    "mean": lambda r, sample_size: detection_rate_mean_exact(r),
+    "variance": detection_rate_variance_exact,
+    "entropy": detection_rate_entropy_exact,
+}
+
+
+def detection_rate_exact(feature: str, r: float, sample_size: float) -> float:
+    """Dispatch helper: exact Bayes detection rate of the named feature statistic."""
+    if feature not in _EXACT_RATES:
+        raise AnalysisError(f"no exact detection rate for feature {feature!r}")
+    return _EXACT_RATES[feature](r, sample_size)
+
+
 __all__ = [
+    "detection_rate_exact",
     "detection_rate_mean_exact",
     "detection_rate_variance_exact",
     "detection_rate_entropy_exact",

@@ -102,6 +102,10 @@ def detection_rate_entropy(r: float, sample_size: float) -> float:
     return max(1.0 - constant / n, DETECTION_FLOOR)
 
 
+#: The feature statistics Theorems 1-3 give a closed form for.
+_THEOREM_FEATURES = ("mean", "variance", "entropy")
+
+
 def detection_rate(feature: str, r: float, sample_size: float = 2) -> float:
     """Dispatch helper: detection rate of the named feature statistic."""
     key = feature.strip().lower()
@@ -114,8 +118,20 @@ def detection_rate(feature: str, r: float, sample_size: float = 2) -> float:
     raise AnalysisError(f"no closed-form detection rate for feature {feature!r}")
 
 
+def closed_form_rate(feature: str, r: float, sample_size: float) -> float:
+    """The theorem column of a report: :func:`detection_rate`, or NaN.
+
+    Extension features (``mad``, ``iqr``) have no closed form in the paper;
+    a report shows NaN for them rather than some other feature's theorem.
+    """
+    if feature not in _THEOREM_FEATURES:
+        return math.nan
+    return detection_rate(feature, r, sample_size)
+
+
 __all__ = [
     "DETECTION_FLOOR",
+    "closed_form_rate",
     "detection_rate_mean",
     "variance_constant",
     "detection_rate_variance",

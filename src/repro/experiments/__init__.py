@@ -1,10 +1,11 @@
 """Experiment harness: one module per figure of the paper's evaluation.
 
-Each experiment pairs a configuration dataclass with an ``Experiment`` class
-whose :meth:`run` method wires traffic sources, padding gateways, the
-unprotected network and the adversary together, measures empirical detection
-rates, evaluates the corresponding closed-form predictions, and returns a
-result object with ``rows()`` / ``to_text()`` for reporting.
+Each experiment pairs a configuration dataclass with a registered
+:class:`~repro.api.protocol.ExperimentShell` subclass carrying its presets as
+data: its grid wires traffic sources, padding gateways, the unprotected
+network and the adversary together, and its result compares the empirical
+detection rates with the corresponding closed-form predictions, with
+``rows()`` / ``to_text()`` for reporting.
 
 ===========  =============================================================
 module       reproduces

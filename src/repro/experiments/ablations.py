@@ -2,11 +2,11 @@
 
 The paper fixes several knobs of the adversary and of the evaluation setup;
 these experiments sweep them to show the headline result is not an artefact
-of a lucky constant.  Each one implements the same protocol as the figure
-experiments (``cells(seeds)`` / ``assemble(report, seeds, confidence)`` /
-``run``), so they pool into the same sweep runner, cache into the same
-results store, aggregate across seeds the same way — and, registered under
-:mod:`repro.api`, run from the CLI like any figure:
+of a lucky constant.  Each one is an
+:class:`~repro.api.protocol.ExperimentShell` like the figure experiments, so
+they pool into the same sweep runner, cache into the same results store,
+aggregate across seeds the same way — and, registered with their presets,
+run from the CLI like any figure:
 
 ``ablation_estimators``
     The entropy histogram bin width and the KDE bandwidth rule of the
@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -37,33 +39,10 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 #: Feature statistics reported by the tap and VIT-family ablations.
 _ABLATION_FEATURES: Tuple[str, ...] = ("mean", "variance", "entropy")
-
-
-def _experiment_view(cells, report, n_seeds: int, confidence: Optional[float]):
-    """Raw report for single-seed runs, per-point aggregation otherwise.
-
-    The cell-list twin of :func:`repro.runner.grid.experiment_view`, for
-    experiments whose grids are explicit cell lists rather than one
-    :class:`~repro.runner.grid.GridSpec`.
-    """
-    from repro.runner import aggregate_cells
-
-    if n_seeds > 1:
-        return aggregate_cells(cells, report, confidence=confidence)
-    return report
-
-
-def _seeded_key(key: str, seed: int, seeds: Sequence[int]) -> str:
-    """Bare point key for single-seed grids, ``@seed=N``-tagged otherwise."""
-    from repro.runner import SEED_TAG
-
-    if len(seeds) == 1:
-        return key
-    return f"{key}{SEED_TAG}{seed}"
 
 
 # =====================================================================
@@ -157,20 +136,33 @@ class EstimatorAblationResult:
         )
 
 
-class EstimatorAblationExperiment:
+@register_experiment("ablation_estimators")
+class EstimatorAblationExperiment(ExperimentShell):
     """Sweeps the adversary's entropy bin width and KDE bandwidth rule."""
 
-    name = "ablation_estimators"
-
-    def __init__(self, config: Optional[EstimatorAblationConfig] = None) -> None:
-        self.config = config if config is not None else EstimatorAblationConfig()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Ablation: entropy histogram bin width and KDE bandwidth rule of the "
-            "adversary's estimators, swept on the Figure 4 scenario"
-        )
+    config_cls = EstimatorAblationConfig
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 10, "mode": CollectionMode.ANALYTIC},
+        "quick": {
+            "bin_widths": (2e-5, 2e-4),
+            "kde_bandwidths": ("silverman", 2.0),
+            "sample_size": 300,
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+        },
+        "smoke": {
+            "bin_widths": (2e-5,),
+            "kde_bandwidths": ("silverman", 2.0),
+            "sample_size": 100,
+            "trials": 4,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Ablation: entropy histogram bin width and KDE bandwidth rule of the "
+        "adversary's estimators, swept on the Figure 4 scenario"
+    )
 
     @staticmethod
     def bin_width_key(bin_width: float) -> str:
@@ -182,19 +174,18 @@ class EstimatorAblationExperiment:
         """The grid-point key of one KDE-bandwidth setting."""
         return f"ablation_estimators/bandwidth={bandwidth!r}"
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
+    def expand(self, seeds: Tuple[int, ...]) -> "List[SweepCell]":
         """One cell per (estimator setting, seed).
 
         Not a :class:`~repro.runner.grid.GridSpec` product: the two knobs
         vary *cell* options (``entropy_bin_width`` / ``kde_bandwidth``), not
         scenario axes, so the cells are built directly.
         """
-        from repro.runner import SweepCell
+        from repro.runner import SweepCell, cell_key
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
         cells: List[SweepCell] = []
-        for seed in resolved:
+        for seed in seeds:
             common = dict(
                 scenario=config.scenario,
                 sample_sizes=(config.sample_size,),
@@ -205,7 +196,7 @@ class EstimatorAblationExperiment:
             for bin_width in config.bin_widths:
                 cells.append(
                     SweepCell(
-                        key=_seeded_key(self.bin_width_key(bin_width), seed, resolved),
+                        key=cell_key(self.bin_width_key(bin_width), seed, seeds),
                         features=("entropy",),
                         entropy_bin_width=bin_width,
                         **common,
@@ -214,7 +205,7 @@ class EstimatorAblationExperiment:
             for bandwidth in config.kde_bandwidths:
                 cells.append(
                     SweepCell(
-                        key=_seeded_key(self.bandwidth_key(bandwidth), seed, resolved),
+                        key=cell_key(self.bandwidth_key(bandwidth), seed, seeds),
                         features=("variance",),
                         kde_bandwidth=bandwidth,
                         **common,
@@ -222,60 +213,24 @@ class EstimatorAblationExperiment:
                 )
         return cells
 
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> EstimatorAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> EstimatorAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> EstimatorAblationResult:
+        """Detection rate per estimator setting."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = _experiment_view(
-            self.cells(resolved), report, len(resolved), confidence
-        )
         n = config.sample_size
-        by_bin: Dict[float, float] = {}
-        by_bandwidth: Dict[Union[str, float], float] = {}
-        bin_ci: Dict[float, Tuple[float, float]] = {}
-        bandwidth_ci: Dict[Union[str, float], Tuple[float, float]] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for bin_width in config.bin_widths:
-            cell = view[self.bin_width_key(bin_width)]
-            by_bin[bin_width] = cell.empirical_detection_rate["entropy"][n]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            if cell_ci is not None:
-                bin_ci[bin_width] = cell_ci["entropy"][n]
-                has_ci = True
-                result_confidence = getattr(cell, "confidence", None)
-        for bandwidth in config.kde_bandwidths:
-            cell = view[self.bandwidth_key(bandwidth)]
-            by_bandwidth[bandwidth] = cell.empirical_detection_rate["variance"][n]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            if cell_ci is not None:
-                bandwidth_ci[bandwidth] = cell_ci["variance"][n]
-                has_ci = True
-                result_confidence = getattr(cell, "confidence", None)
+        by_bin = self.read_rates(
+            view, {w: self.bin_width_key(w) for w in config.bin_widths}, ("entropy",), n
+        )
+        by_bandwidth = self.read_rates(
+            view, {b: self.bandwidth_key(b) for b in config.kde_bandwidths}, ("variance",), n
+        )
         return EstimatorAblationResult(
             config=config,
-            detection_rate_by_bin_width=by_bin,
-            detection_rate_by_bandwidth=by_bandwidth,
-            bin_width_ci=bin_ci if has_ci else None,
-            bandwidth_ci=bandwidth_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            detection_rate_by_bin_width=by_bin.empirical["entropy"],
+            detection_rate_by_bandwidth=by_bandwidth.empirical["variance"],
+            bin_width_ci=by_bin.ci["entropy"] if by_bin.ci else None,
+            bandwidth_ci=by_bandwidth.ci["variance"] if by_bandwidth.ci else None,
+            n_seeds=len(seeds),
+            confidence=by_bin.confidence or by_bandwidth.confidence,
         )
 
 
@@ -355,20 +310,31 @@ class TapAblationResult:
         )
 
 
-class TapAblationExperiment:
+@register_experiment("ablation_tap")
+class TapAblationExperiment(ExperimentShell):
     """Sweeps the number of loaded hops between the gateway and the tap."""
 
-    name = "ablation_tap"
-
-    def __init__(self, config: Optional[TapAblationConfig] = None) -> None:
-        self.config = config if config is not None else TapAblationConfig()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Ablation: how much protection distance behind loaded routers buys — "
-            "detection rate vs the number of hops between gateway and tap"
-        )
+    config_cls = TapAblationConfig
+    PRESETS = {
+        "paper": {},
+        "fast": {"sample_size": 400, "trials": 8, "mode": CollectionMode.HYBRID},
+        "quick": {
+            "hop_counts": (0, 3, 15),
+            "sample_size": 300,
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+        },
+        "smoke": {
+            "hop_counts": (0, 3),
+            "sample_size": 100,
+            "trials": 4,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Ablation: how much protection distance behind loaded routers buys — "
+        "detection rate vs the number of hops between gateway and tap"
+    )
 
     @staticmethod
     def point_key(hops: int) -> str:
@@ -403,59 +369,24 @@ class TapAblationExperiment:
             mode=config.mode,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (tap position, seed) grid point."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> TapAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> TapAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> TapAblationResult:
+        """Detection rate per tap position."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[int, float]] = {name: {} for name in _ABLATION_FEATURES}
-        empirical_ci: Dict[str, Dict[int, Tuple[float, float]]] = {
-            name: {} for name in _ABLATION_FEATURES
-        }
-        ratios: Dict[int, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for hops in config.hop_counts:
-            cell = view[self.point_key(hops)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            ratios[hops] = config.scenario_at(hops).variance_ratio()
-            for name in _ABLATION_FEATURES:
-                empirical[name][hops] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][hops] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
+        rates = self.read_rates(
+            view,
+            {hops: self.point_key(hops) for hops in config.hop_counts},
+            _ABLATION_FEATURES,
+            config.sample_size,
+        )
         return TapAblationResult(
             config=config,
-            empirical_detection_rate=empirical,
-            variance_ratios=ratios,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_detection_rate=rates.empirical,
+            variance_ratios={
+                hops: config.scenario_at(hops).variance_ratio() for hops in config.hop_counts
+            },
+            empirical_ci=rates.ci,
+            n_seeds=len(seeds),
+            confidence=rates.confidence,
         )
 
 
@@ -535,20 +466,33 @@ class VitFamilyAblationResult:
         )
 
 
-class VitFamilyAblationExperiment:
+@register_experiment("ablation_vit")
+class VitFamilyAblationExperiment(ExperimentShell):
     """Sweeps the VIT timer's interval distribution family."""
 
-    name = "ablation_vit"
-
-    def __init__(self, config: Optional[VitFamilyAblationConfig] = None) -> None:
-        self.config = config if config is not None else VitFamilyAblationConfig()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Ablation: VIT interval distribution families at identical (tau, "
-            "sigma_T) — the defence needs variance, not a particular shape"
-        )
+    config_cls = VitFamilyAblationConfig
+    PRESETS = {
+        "paper": {},
+        "fast": {"sample_size": 400, "trials": 6, "mode": CollectionMode.SIMULATION},
+        "quick": {
+            "families": ("normal", "uniform"),
+            "sample_size": 200,
+            "trials": 4,
+            "mode": CollectionMode.SIMULATION,
+        },
+        # smoke: the analytic model sees only sigma_T (not the family), so
+        # this exercises the pipeline rather than the families themselves.
+        "smoke": {
+            "families": ("normal", "uniform"),
+            "sample_size": 100,
+            "trials": 4,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Ablation: VIT interval distribution families at identical (tau, "
+        "sigma_T) — the defence needs variance, not a particular shape"
+    )
 
     def point_key(self, family: str) -> str:
         """The grid-point key of one interval family."""
@@ -569,56 +513,21 @@ class VitFamilyAblationExperiment:
             mode=config.mode,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (family, seed) grid point."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> VitFamilyAblationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> VitFamilyAblationResult:
-        """Build the ablation result from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> VitFamilyAblationResult:
+        """Detection rate per interval family."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[str, float]] = {name: {} for name in _ABLATION_FEATURES}
-        empirical_ci: Dict[str, Dict[str, Tuple[float, float]]] = {
-            name: {} for name in _ABLATION_FEATURES
-        }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for family in config.families:
-            cell = view[self.point_key(family)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            for name in _ABLATION_FEATURES:
-                empirical[name][family] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][family] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
+        rates = self.read_rates(
+            view,
+            {family: self.point_key(family) for family in config.families},
+            _ABLATION_FEATURES,
+            config.sample_size,
+        )
         return VitFamilyAblationResult(
             config=config,
-            empirical_detection_rate=empirical,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_detection_rate=rates.empirical,
+            empirical_ci=rates.ci,
+            n_seeds=len(seeds),
+            confidence=rates.confidence,
         )
 
 

@@ -22,14 +22,12 @@ run cannot express is quantified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.core.exact import detection_rate_mean_exact, detection_rate_variance_exact
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
+from repro.core.exact import detection_rate_exact
+from repro.core.theorems import closed_form_rate
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -41,7 +39,7 @@ from repro.experiments.report import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec
 
 
 @dataclass(frozen=True)
@@ -169,21 +167,21 @@ class Fig4Result:
         return render_experiment_report("Figure 4 — CIT padding, no cross traffic", sections)
 
 
-class Fig4Experiment:
+@register_experiment("fig4")
+class Fig4Experiment(ExperimentShell):
     """Runs the Figure 4 reproduction."""
 
-    #: Registry name; also the prefix of every cell key this experiment emits.
-    name = "fig4"
-
-    def __init__(self, config: Optional[Fig4Config] = None) -> None:
-        self.config = config if config is not None else Fig4Config()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Figure 4: CIT padding without cross traffic — PIAT statistics per "
-            "payload rate and detection rate vs sample size for the three features"
-        )
+    config_cls = Fig4Config
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 20, "mode": CollectionMode.ANALYTIC},
+        "quick": {"sample_sizes": (50, 200, 1000), "trials": 10, "mode": CollectionMode.ANALYTIC},
+        "smoke": {"sample_sizes": (50, 200), "trials": 6, "mode": CollectionMode.ANALYTIC},
+    }
+    summary = (
+        "Figure 4: CIT padding without cross traffic — PIAT statistics per "
+        "payload rate and detection rate vs sample size for the three features"
+    )
 
     def grid(self, seeds: Optional[Sequence[int]] = None) -> "GridSpec":
         """The experiment's grid: a single point, fanned out over the seeds.
@@ -207,63 +205,29 @@ class Fig4Experiment:
             collect_piat_stats=True,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """The experiment's grid as sweep-runner cells."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig4Result:
-        """Collect captures, run the attack at every sample size, compare with theory."""
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig4Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> Fig4Result:
+        """The figure against Theorems 1-3 and the exact Bayes rates."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
         cell = view["fig4"]
-
         r_model = config.scenario.variance_ratio()
         empirical = cell.empirical_detection_rate
-        theoretical: Dict[str, Dict[int, float]] = {name: {} for name in empirical}
-        exact: Dict[str, Dict[int, float]] = {name: {} for name in empirical}
-        for name in empirical:
-            for n in config.sample_sizes:
-                if name == "mean":
-                    theoretical[name][n] = detection_rate_mean(r_model)
-                    exact[name][n] = detection_rate_mean_exact(r_model)
-                elif name == "variance":
-                    theoretical[name][n] = detection_rate_variance(r_model, n)
-                    exact[name][n] = detection_rate_variance_exact(r_model, n)
-                else:
-                    theoretical[name][n] = detection_rate_entropy(r_model, n)
-                    exact[name][n] = detection_rate_variance_exact(r_model, n)
-        empirical_ci = getattr(cell, "detection_rate_ci", None)
         return Fig4Result(
             config=config,
             r_model=r_model,
             r_measured=cell.measured_variance_ratio,
             piat_stats=cell.piat_stats,
             empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
-            exact_detection_rate=exact,
-            empirical_ci=empirical_ci,
+            theoretical_detection_rate={
+                name: {n: closed_form_rate(name, r_model, n) for n in config.sample_sizes}
+                for name in empirical
+            },
+            exact_detection_rate={
+                name: {n: detection_rate_exact(name, r_model, n) for n in config.sample_sizes}
+                for name in empirical
+            },
+            empirical_ci=getattr(cell, "detection_rate_ci", None),
             r_measured_ci=getattr(cell, "variance_ratio_ci", None),
-            n_seeds=len(resolved),
+            n_seeds=len(seeds),
             confidence=getattr(cell, "confidence", None),
         )
 

@@ -18,14 +18,12 @@ bootstrap CI per grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
 from repro.core.sample_size import sample_size_vs_sigma_t
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.core.theorems import closed_form_rate
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -37,7 +35,7 @@ from repro.experiments.report import (
 from repro.padding.policies import PaddingPolicy, cit_policy, vit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec
 
 
 @dataclass(frozen=True)
@@ -154,21 +152,31 @@ class Fig5Result:
         return render_experiment_report("Figure 5 — VIT padding", sections)
 
 
-class Fig5Experiment:
+@register_experiment("fig5")
+class Fig5Experiment(ExperimentShell):
     """Runs the Figure 5 reproduction."""
 
-    #: Registry name; also the prefix of every cell key this experiment emits.
-    name = "fig5"
-
-    def __init__(self, config: Optional[Fig5Config] = None) -> None:
-        self.config = config if config is not None else Fig5Config()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Figure 5: VIT padding — detection rate vs the timer standard deviation "
-            "sigma_T, and the sample size needed for 99% detection"
-        )
+    config_cls = Fig5Config
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 12, "mode": CollectionMode.ANALYTIC},
+        "quick": {
+            "sigma_t_values": (0.0, 1e-4, 1e-3),
+            "sample_size": 500,
+            "trials": 8,
+            "mode": CollectionMode.ANALYTIC,
+        },
+        "smoke": {
+            "sigma_t_values": (0.0, 1e-3),
+            "sample_size": 200,
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Figure 5: VIT padding — detection rate vs the timer standard deviation "
+        "sigma_T, and the sample size needed for 99% detection"
+    )
 
     @staticmethod
     def point_key(sigma_t: float) -> str:
@@ -203,68 +211,20 @@ class Fig5Experiment:
             entropy_bin_width=config.entropy_bin_width,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (``sigma_T``, seed) grid point."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig5Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig5Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> Fig5Result:
+        """Panel (a) against the theorems, panel (b) from the inverted theorems."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[float, float]] = {name: {} for name in config.features}
-        theoretical: Dict[str, Dict[float, float]] = {name: {} for name in config.features}
-        ratios: Dict[float, float] = {}
-        empirical_ci: Dict[str, Dict[float, Tuple[float, float]]] = {
-            name: {} for name in config.features
+        n = config.sample_size
+        rates = self.read_rates(
+            view,
+            {sigma_t: self.point_key(sigma_t) for sigma_t in config.sigma_t_values},
+            config.features,
+            n,
+        )
+        ratios = {
+            sigma_t: config.scenario_for(sigma_t).variance_ratio()
+            for sigma_t in config.sigma_t_values
         }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for sigma_t in config.sigma_t_values:
-            cell = view[self.point_key(sigma_t)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            ratios[sigma_t] = config.scenario_for(sigma_t).variance_ratio()
-            for name in config.features:
-                empirical[name][sigma_t] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][sigma_t] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-                if name == "mean":
-                    theoretical[name][sigma_t] = detection_rate_mean(ratios[sigma_t])
-                elif name == "variance":
-                    theoretical[name][sigma_t] = detection_rate_variance(
-                        ratios[sigma_t], config.sample_size
-                    )
-                elif name == "entropy":
-                    theoretical[name][sigma_t] = detection_rate_entropy(
-                        ratios[sigma_t], config.sample_size
-                    )
-                else:
-                    # Extension features (mad, iqr) have no closed-form
-                    # prediction in the paper; report NaN, not a wrong theorem.
-                    theoretical[name][sigma_t] = float("nan")
-
         required: Dict[str, Dict[float, float]] = {}
         for feature_name in ("variance", "entropy"):
             sizes = sample_size_vs_sigma_t(
@@ -280,13 +240,16 @@ class Fig5Experiment:
 
         return Fig5Result(
             config=config,
-            empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
+            empirical_detection_rate=rates.empirical,
+            theoretical_detection_rate={
+                name: {sigma_t: closed_form_rate(name, r, n) for sigma_t, r in ratios.items()}
+                for name in config.features
+            },
             variance_ratios=ratios,
             required_sample_for_target=required,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=rates.ci,
+            n_seeds=len(seeds),
+            confidence=rates.confidence,
         )
 
 

@@ -16,13 +16,11 @@ reports mean ± bootstrap CI per grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
+from repro.core.theorems import closed_form_rate
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -34,7 +32,7 @@ from repro.experiments.report import (
 from repro.padding.policies import cit_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec
 
 
 def _lab_scenario() -> ScenarioConfig:
@@ -121,21 +119,31 @@ class Fig6Result:
         )
 
 
-class Fig6Experiment:
+@register_experiment("fig6")
+class Fig6Experiment(ExperimentShell):
     """Runs the Figure 6 reproduction."""
 
-    #: Registry name; also the prefix of every cell key this experiment emits.
-    name = "fig6"
-
-    def __init__(self, config: Optional[Fig6Config] = None) -> None:
-        self.config = config if config is not None else Fig6Config()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Figure 6: CIT padding behind a shared router — detection rate vs the "
-            "shared link's cross-traffic utilization"
-        )
+    config_cls = Fig6Config
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 15, "mode": CollectionMode.HYBRID},
+        "quick": {
+            "utilizations": (0.05, 0.4),
+            "sample_size": 400,
+            "trials": 8,
+            "mode": CollectionMode.HYBRID,
+        },
+        "smoke": {
+            "utilizations": (0.05, 0.3),
+            "sample_size": 200,
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Figure 6: CIT padding behind a shared router — detection rate vs the "
+        "shared link's cross-traffic utilization"
+    )
 
     @staticmethod
     def point_key(utilization: float) -> str:
@@ -163,78 +171,37 @@ class Fig6Experiment:
             entropy_bin_width=config.entropy_bin_width,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (utilization, seed) grid point."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig6Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig6Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> Fig6Result:
+        """Detection rate per utilization against the theorems."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
-        empirical: Dict[str, Dict[float, float]] = {name: {} for name in DEFAULT_FEATURES}
-        theoretical: Dict[str, Dict[float, float]] = {name: {} for name in DEFAULT_FEATURES}
-        empirical_ci: Dict[str, Dict[float, Tuple[float, float]]] = {
-            name: {} for name in DEFAULT_FEATURES
+        n = config.sample_size
+        rates = self.read_rates(
+            view,
+            {u: self.point_key(u) for u in config.utilizations},
+            DEFAULT_FEATURES,
+            n,
+        )
+        ratios = {
+            u: config.scenario.with_cross_utilization(u).variance_ratio()
+            for u in config.utilizations
         }
-        has_ci = False
-        result_confidence: Optional[float] = None
-        ratios: Dict[float, float] = {}
-        measured_utils: Dict[float, float] = {}
-        for utilization in config.utilizations:
-            cell = view[self.point_key(utilization)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            scenario = config.scenario.with_cross_utilization(utilization)
-            ratios[utilization] = scenario.variance_ratio()
+        return Fig6Result(
+            config=config,
+            empirical_detection_rate=rates.empirical,
+            theoretical_detection_rate={
+                name: {u: closed_form_rate(name, r, n) for u, r in ratios.items()}
+                for name in DEFAULT_FEATURES
+            },
+            variance_ratios=ratios,
             # The padded stream's rate never changes, so the realised padded +
             # cross load equals the target by construction; record it for the
             # report anyway (useful when a caller overrides the link rate).
-            measured_utils[utilization] = utilization
-            for name in empirical:
-                empirical[name][utilization] = cell.empirical_detection_rate[name][
-                    config.sample_size
-                ]
-                if cell_ci is not None:
-                    empirical_ci[name][utilization] = cell_ci[name][config.sample_size]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-                if name == "mean":
-                    theoretical[name][utilization] = detection_rate_mean(ratios[utilization])
-                elif name == "variance":
-                    theoretical[name][utilization] = detection_rate_variance(
-                        ratios[utilization], config.sample_size
-                    )
-                else:
-                    theoretical[name][utilization] = detection_rate_entropy(
-                        ratios[utilization], config.sample_size
-                    )
-        return Fig6Result(
-            config=config,
-            empirical_detection_rate=empirical,
-            theoretical_detection_rate=theoretical,
-            variance_ratios=ratios,
-            measured_utilizations=measured_utils,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            measured_utilizations={u: u for u in config.utilizations},
+            empirical_ci=rates.ci,
+            n_seeds=len(seeds),
+            confidence=rates.confidence,
         )
 
 

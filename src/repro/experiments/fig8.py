@@ -29,15 +29,13 @@ across the sweep runner's worker pool and is cached by content hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.theorems import (
-    detection_rate_entropy,
-    detection_rate_mean,
-    detection_rate_variance,
-)
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
+from repro.core.theorems import closed_form_rate
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -51,7 +49,7 @@ from repro.padding.policies import cit_policy
 from repro.traffic.schedule import DiurnalProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec
 
 
 @dataclass(frozen=True)
@@ -175,21 +173,31 @@ class Fig8Result:
         return render_experiment_report("Figure 8 — campus and wide-area networks", sections)
 
 
-class Fig8Experiment:
+@register_experiment("fig8")
+class Fig8Experiment(ExperimentShell):
     """Runs the Figure 8 reproduction."""
 
-    #: Registry name; also the prefix of every cell key this experiment emits.
-    name = "fig8"
-
-    def __init__(self, config: Optional[Fig8Config] = None) -> None:
-        self.config = config if config is not None else Fig8Config()
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Figure 8: 24-hour hourly detection rates across a campus network and "
-            "a WAN carrying diurnal cross traffic"
-        )
+    config_cls = Fig8Config
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 15, "mode": CollectionMode.HYBRID},
+        "quick": {
+            "hours": (2, 14),
+            "sample_size": 400,
+            "trials": 8,
+            "mode": CollectionMode.HYBRID,
+        },
+        "smoke": {
+            "hours": (2, 14),
+            "sample_size": 200,
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+        },
+    }
+    summary = (
+        "Figure 8: 24-hour hourly detection rates across a campus network and "
+        "a WAN carrying diurnal cross traffic"
+    )
 
     @staticmethod
     def point_key(network: str, hour: int) -> str:
@@ -244,81 +252,44 @@ class Fig8Experiment:
             entropy_bin_width=config.entropy_bin_width,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
-        """One sweep-runner cell per (network, hour, seed) grid point."""
-        return self.grid(seeds).cells()
-
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig8Result:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> Fig8Result:
-        """Build the figure result from a sweep report containing this grid's cells."""
-        from repro.runner import DEFAULT_FEATURES, experiment_view
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> Fig8Result:
+        """Hourly detection rates per network against the theorems."""
+        from repro.runner import DEFAULT_FEATURES
 
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
-        view = experiment_view(report, self.grid(resolved), confidence=confidence)
+        n = config.sample_size
         empirical: Dict[str, Dict[str, Dict[int, float]]] = {}
         theoretical: Dict[str, Dict[str, Dict[int, float]]] = {}
         ratios: Dict[str, Dict[int, float]] = {}
         utilizations: Dict[str, Dict[int, float]] = {}
         empirical_ci: Dict[str, Dict[str, Dict[int, Tuple[float, float]]]] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-
+        confidence: Optional[float] = None
         for network in config.networks:
-            empirical[network] = {name: {} for name in DEFAULT_FEATURES}
-            theoretical[network] = {name: {} for name in DEFAULT_FEATURES}
-            empirical_ci[network] = {name: {} for name in DEFAULT_FEATURES}
-            ratios[network] = {}
-            utilizations[network] = {}
-            for hour in config.hours:
-                cell = view[self.point_key(network, hour)]
-                cell_ci = getattr(cell, "detection_rate_ci", None)
-                scenario = config.scenario_at(network, hour)
-                utilizations[network][hour] = scenario.cross_utilization
-                ratios[network][hour] = scenario.variance_ratio()
-                r = ratios[network][hour]
-                for name in DEFAULT_FEATURES:
-                    empirical[network][name][hour] = cell.empirical_detection_rate[name][
-                        config.sample_size
-                    ]
-                    if cell_ci is not None:
-                        empirical_ci[network][name][hour] = cell_ci[name][config.sample_size]
-                        has_ci = True
-                        result_confidence = getattr(cell, "confidence", None)
-                    if name == "mean":
-                        theoretical[network][name][hour] = detection_rate_mean(r)
-                    elif name == "variance":
-                        theoretical[network][name][hour] = detection_rate_variance(
-                            r, config.sample_size
-                        )
-                    else:
-                        theoretical[network][name][hour] = detection_rate_entropy(
-                            r, config.sample_size
-                        )
+            rates = self.read_rates(
+                view,
+                {hour: self.point_key(network, hour) for hour in config.hours},
+                DEFAULT_FEATURES,
+                n,
+            )
+            scenarios = {hour: config.scenario_at(network, hour) for hour in config.hours}
+            utilizations[network] = {h: s.cross_utilization for h, s in scenarios.items()}
+            ratios[network] = {h: s.variance_ratio() for h, s in scenarios.items()}
+            empirical[network] = rates.empirical
+            theoretical[network] = {
+                name: {h: closed_form_rate(name, r, n) for h, r in ratios[network].items()}
+                for name in DEFAULT_FEATURES
+            }
+            empirical_ci[network] = rates.ci or {}
+            confidence = rates.confidence
         return Fig8Result(
             config=config,
             empirical_detection_rate=empirical,
             theoretical_detection_rate=theoretical,
             variance_ratios=ratios,
             utilizations=utilizations,
-            empirical_ci=empirical_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            empirical_ci=empirical_ci if confidence is not None else None,
+            n_seeds=len(seeds),
+            confidence=confidence,
         )
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import CollectionMode, ScenarioConfig, resolve_seeds
 from repro.experiments.report import (
@@ -48,7 +50,7 @@ from repro.population.metrics import (
 from repro.population.topology import ASGraphSpec, ASTopology, generate_as_topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.runner import GridSpec, SweepCell, SweepRunner
+    from repro.runner import GridSpec, SweepCell
 
 #: Feature statistics evaluated by the population experiment.
 _POPULATION_FEATURES: Tuple[str, ...] = ("mean", "variance", "entropy")
@@ -281,23 +283,46 @@ class PopulationResult:
         return render_experiment_report(title, sections)
 
 
-class PopulationExperiment:
-    """Generated multi-AS topology, flow population, anonymity-set metrics."""
+@register_experiment("population")
+class PopulationExperiment(ExperimentShell):
+    """Generated multi-AS topology, flow population, anonymity-set metrics.
 
-    name = "population"
+    The cost of the experiment scales with the number of ASes, not the
+    number of flows — a thousand-flow population compiles into one cell per
+    inhabited AS plus a handful of multi-rate depth cells — so every preset
+    keeps the full 600-flow population and shrinks only the graph, the
+    trials and the sample sizes.
+    """
+
+    config_cls = PopulationConfig
+    PRESETS = {
+        "paper": {},
+        "fast": {"trials": 8, "mode": CollectionMode.ANALYTIC},
+        "quick": {
+            "n_as": 8,
+            "sample_sizes": (100, 300),
+            "trials": 6,
+            "mode": CollectionMode.ANALYTIC,
+            "mix_depth_points": 2,
+        },
+        "smoke": {
+            "n_as": 5,
+            "sample_sizes": (50, 100),
+            "trials": 4,
+            "mode": CollectionMode.ANALYTIC,
+            "mix_depth_points": 2,
+        },
+    }
+    summary = (
+        "Population-scale anonymity: generated multi-AS topology, "
+        "thousand-flow rate mix, per-AS detection rates, anonymity-set "
+        "sizes and multi-rate confusion matrices"
+    )
 
     def __init__(self, config: Optional[PopulationConfig] = None) -> None:
-        self.config = config if config is not None else PopulationConfig()
+        super().__init__(config)
         self._topology: Optional[ASTopology] = None
         self._population: Optional[FlowPopulation] = None
-
-    def describe(self) -> str:
-        """One-line summary shown by ``repro list`` and ``Experiment.describe``."""
-        return (
-            "Population-scale anonymity: generated multi-AS topology, "
-            "thousand-flow rate mix, per-AS detection rates, anonymity-set "
-            "sizes and multi-rate confusion matrices"
-        )
 
     # ------------------------------------------------------------ population
     def topology(self) -> ASTopology:
@@ -352,81 +377,36 @@ class PopulationExperiment:
             max_depth_points=config.mix_depth_points,
         )
 
-    def cells(self, seeds: Optional[Sequence[int]] = None) -> "List[SweepCell]":
+    def expand(self, seeds: Tuple[int, ...]) -> "List[SweepCell]":
         """Every schedulable cell: per-AS binary plus multi-rate mix."""
         return self.hybrid_grid(seeds).cells() + self.mix_grid(seeds).cells()
 
-    # ------------------------------------------------------------------- run
-    def run(
-        self,
-        runner: "Optional[SweepRunner]" = None,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> PopulationResult:
-        from repro.runner import SweepRunner
-
-        runner = runner if runner is not None else SweepRunner()
-        return self.assemble(runner.run(self.cells(seeds)), seeds=seeds, confidence=confidence)
-
-    def assemble(
-        self,
-        report,
-        seeds: Optional[Sequence[int]] = None,
-        confidence: Optional[float] = None,
-    ) -> PopulationResult:
-        """Build the population report from a sweep report containing its cells."""
-        from repro.runner import experiment_view
-
+    def to_result(self, view, report, seeds: Tuple[int, ...]) -> PopulationResult:
+        """Per-AS rates weighted into population metrics, plus the rate mix."""
         config = self.config
-        resolved = resolve_seeds(config.seed, seeds)
         population = self.population()
         topology = self.topology()
-        hybrid_grid = self.hybrid_grid(resolved)
-        mix_grid = self.mix_grid(resolved)
-        hybrid_view = experiment_view(report, hybrid_grid, confidence=confidence)
-        mix_view = experiment_view(report, mix_grid, confidence=confidence)
+        mix_grid = self.mix_grid(seeds)
         n_max = max(config.sample_sizes)
+        sender_ases = population.sender_ases()
 
-        per_as_rates: Dict[str, Dict[int, Dict[int, float]]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        per_as_ci: Dict[str, Dict[int, Tuple[float, float]]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        as_depths: Dict[int, int] = {}
-        as_utilizations: Dict[int, float] = {}
-        has_ci = False
-        result_confidence: Optional[float] = None
-        for as_id in population.sender_ases():
-            cell = hybrid_view[self.as_point_key(as_id)]
-            cell_ci = getattr(cell, "detection_rate_ci", None)
-            as_depths[as_id] = topology.path_depth(as_id)
-            as_utilizations[as_id] = topology.path_utilization(as_id)
-            for feature in _POPULATION_FEATURES:
-                per_as_rates[feature][as_id] = {
-                    n: cell.empirical_detection_rate[feature][n]
-                    for n in config.sample_sizes
-                }
-                if cell_ci is not None:
-                    per_as_ci[feature][as_id] = cell_ci[feature][n_max]
-                    has_ci = True
-                    result_confidence = getattr(cell, "confidence", None)
-
+        per_as = self.read_rates(
+            view,
+            {as_id: self.as_point_key(as_id) for as_id in sender_ases},
+            _POPULATION_FEATURES,
+        )
         curve = {
             feature: identification_curve(
-                population, per_as_rates[feature], config.sample_sizes
+                population, per_as.empirical[feature], config.sample_sizes
             )
             for feature in _POPULATION_FEATURES
         }
-
-        mix_rates: Dict[str, Dict[int, float]] = {
-            feature: {} for feature in _POPULATION_FEATURES
-        }
-        for point in mix_grid.points:
-            depth = int(point.key.rsplit("=", 1)[1])
-            cell = mix_view[point.key]
-            for feature in _POPULATION_FEATURES:
-                mix_rates[feature][depth] = cell.empirical_detection_rate[feature][n_max]
+        mix = self.read_rates(
+            view,
+            {int(point.key.rsplit("=", 1)[1]): point.key for point in mix_grid.points},
+            _POPULATION_FEATURES,
+            n_max,
+        )
 
         # Confusion matrices live only on raw multi-rate cell results (the
         # seed-aggregation layer reduces scalars, not count matrices), so sum
@@ -443,18 +423,25 @@ class PopulationExperiment:
             config=config,
             n_edges=len(topology.edges),
             core_as=topology.core_as,
-            as_depths=as_depths,
-            as_utilizations=as_utilizations,
+            as_depths={as_id: topology.path_depth(as_id) for as_id in sender_ases},
+            as_utilizations={as_id: topology.path_utilization(as_id) for as_id in sender_ases},
             flows_per_as=population.flows_per_as(),
-            per_as_rates=per_as_rates,
+            per_as_rates=per_as.empirical,
             curve=curve,
             anonymity_distribution=anonymity_set_distribution(population),
             anonymity_stats=anonymity_summary(population),
-            mix_rates=mix_rates,
+            mix_rates=mix.empirical,
             confusion=confusion,
-            per_as_ci=per_as_ci if has_ci else None,
-            n_seeds=len(resolved),
-            confidence=result_confidence,
+            per_as_ci=(
+                {
+                    feature: {as_id: by_n[n_max] for as_id, by_n in by_as.items()}
+                    for feature, by_as in per_as.ci.items()
+                }
+                if per_as.ci is not None
+                else None
+            ),
+            n_seeds=len(seeds),
+            confidence=per_as.confidence,
         )
 
 

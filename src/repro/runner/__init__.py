@@ -65,6 +65,7 @@ from repro.runner.grid import (
     GridPoint,
     GridSpec,
     aggregate_cells,
+    cell_key,
     experiment_view,
     mean_and_ci,
     point_bootstrap_rng,
@@ -118,6 +119,7 @@ __all__ = [
     "SweepReport",
     "SweepRunner",
     "aggregate_cells",
+    "cell_key",
     "experiment_view",
     "hybrid_captures_from_gateway",
     "mean_and_ci",

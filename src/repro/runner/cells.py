@@ -158,6 +158,10 @@ class SweepCell:
             raise ConfigurationError(
                 f"sample_sizes={self.sample_sizes!r} must contain only sizes >= 2"
             )
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ConfigurationError(
+                f"sample_sizes={self.sample_sizes!r} must not repeat a size"
+            )
         if self.trials < 2:
             raise ConfigurationError(f"trials={self.trials!r} must be >= 2")
         if not self.features:

@@ -55,6 +55,13 @@ def seed_range(base_seed: int, count: int) -> Tuple[int, ...]:
     return tuple(base_seed + i for i in range(count))
 
 
+def cell_key(point_key: str, seed: int, seeds: Sequence[int]) -> str:
+    """The cell key of one (point, seed); bare when the sweep is single-seed."""
+    if len(seeds) == 1:
+        return point_key
+    return f"{point_key}{SEED_TAG}{seed}"
+
+
 def split_seed_key(key: str) -> Tuple[str, Optional[int]]:
     """Split ``"fig6/utilization=0.2@seed=7"`` into its point key and seed."""
     base, tag, seed = key.partition(SEED_TAG)
@@ -243,12 +250,6 @@ class GridSpec:
         return cls(prefix=prefix, points=tuple(points), seeds=tuple(seeds), **cell_options)
 
     # ------------------------------------------------------------- expansion
-    def cell_key(self, point_key: str, seed: int) -> str:
-        """The cell key of one (point, seed); bare when the grid is single-seed."""
-        if len(self.seeds) == 1:
-            return point_key
-        return f"{point_key}{SEED_TAG}{seed}"
-
     def point_keys(self) -> List[str]:
         """The seed-free grid point keys, in grid order."""
         return [point.key for point in self.points]
@@ -270,7 +271,7 @@ class GridSpec:
                     )
                 cells.append(
                     SweepCell(
-                        key=self.cell_key(point.key, seed),
+                        key=cell_key(point.key, seed, self.seeds),
                         scenario=point.scenario,
                         sample_sizes=self.sample_sizes,
                         trials=self.trials,
@@ -344,18 +345,18 @@ class AggregatedSweepReport:
 
 def experiment_view(
     report: Mapping[str, CellResult],
-    grid: GridSpec,
+    cells: Sequence[SweepCell],
     confidence: Optional[float] = None,
 ):
     """The view an experiment's ``assemble`` reads its grid points from.
 
-    Single-seed grids read the raw sweep report (bare keys, historical
-    byte-identical results); multi-seed grids read the aggregated per-point
-    reduction.  Shared by every figure experiment so the seed-handling
-    convention lives in one place.
+    ``cells`` is the experiment's expanded grid.  Single-seed grids read the
+    raw sweep report (bare keys, historical byte-identical results);
+    multi-seed grids read the aggregated per-point reduction.  Shared by
+    every experiment so the seed-handling convention lives in one place.
     """
-    if len(grid.seeds) > 1:
-        return grid.aggregate(report, confidence=confidence)
+    if len({cell.seed for cell in cells}) > 1:
+        return aggregate_cells(cells, report, confidence=confidence)
     return report
 
 
@@ -494,6 +495,7 @@ __all__ = [
     "GridPoint",
     "GridSpec",
     "aggregate_cells",
+    "cell_key",
     "experiment_view",
     "mean_and_ci",
     "point_bootstrap_rng",

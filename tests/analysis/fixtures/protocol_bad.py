@@ -1,6 +1,7 @@
 """Fixture: contract gaps that must raise EXP001/EXP002."""
 
-from repro.api.registry import ExperimentDefinition, register_experiment
+from repro.api.protocol import ExperimentShell
+from repro.api.registry import register_experiment
 
 
 class BrokenExperiment:  # EXP002: missing config, cells, run, assemble
@@ -11,5 +12,6 @@ class BrokenExperiment:  # EXP002: missing config, cells, run, assemble
 
 
 @register_experiment("halfbaked")
-class HalfBakedDefinition(ExperimentDefinition):  # EXP001: missing preset_config, build
+class HalfBakedExperiment(ExperimentShell):  # EXP001: no smoke preset
     config_cls = dict
+    PRESETS = {"paper": {}, "fast": {}, "quick": {}}

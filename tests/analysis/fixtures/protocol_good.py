@@ -1,13 +1,16 @@
-"""Fixture: a definition and an experiment that satisfy both contracts."""
+"""Fixture: a registered experiment that satisfies both contracts."""
 
-from repro.api.registry import ExperimentDefinition, register_experiment
+from repro.api.registry import register_experiment
 
 
 class GoodConfig:
     pass
 
 
+@register_experiment("good")
 class GoodExperiment:
+    config_cls = GoodConfig
+    PRESETS = {"paper": {}, "fast": {}, "quick": {}, "smoke": {"trials": 2}}
     name = "good"
 
     def __init__(self, config=None):
@@ -24,14 +27,3 @@ class GoodExperiment:
 
     def assemble(self, report, seeds=None, confidence=None):
         return report
-
-
-@register_experiment("good")
-class GoodDefinition(ExperimentDefinition):
-    config_cls = GoodConfig
-
-    def preset_config(self, preset: str, seed: int) -> GoodConfig:
-        return GoodConfig()
-
-    def build(self, config: GoodConfig) -> GoodExperiment:
-        return GoodExperiment(config)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from repro.analysis.protocol_rules import (
     PROTOCOL_MODULE,
+    REGISTRY_MODULE,
     ExperimentProtocolRule,
     RegisteredDefinitionRule,
+    extract_preset_names,
     extract_protocol_surface,
 )
 
@@ -20,49 +22,69 @@ class TestProtocolSurface:
 
 
 class TestRegisteredDefinition:
+    def _run(self, *extra):
+        tree = make_tree(load_real_module(REGISTRY_MODULE), *extra)
+        return RegisteredDefinitionRule().check_project(tree, root=None)
+
+    def test_presets_are_parsed_from_the_real_registry(self):
+        presets = extract_preset_names(load_real_module(REGISTRY_MODULE))
+        assert presets == ("paper", "fast", "quick", "smoke")
+
     def test_good_fixture_is_clean(self):
-        tree = make_tree(load_fixture("protocol_good", rel="repro/api/protocol_good.py"))
-        assert RegisteredDefinitionRule().check_project(tree, root=None) == []
+        assert self._run(load_fixture("protocol_good", rel="repro/api/protocol_good.py")) == []
 
     def test_bad_fixture_flags_the_missing_members(self):
-        tree = make_tree(load_fixture("protocol_bad", rel="repro/api/protocol_bad.py"))
-        findings = RegisteredDefinitionRule().check_project(tree, root=None)
+        findings = self._run(load_fixture("protocol_bad", rel="repro/api/protocol_bad.py"))
         assert len(findings) == 1
-        assert findings[0].context == "HalfBakedDefinition:build,preset_config"
+        assert findings[0].context == "HalfBakedExperiment:PRESETS[smoke]"
 
     def test_inherited_stubs_do_not_satisfy(self):
+        # The shell only annotates config_cls and PRESETS; annotations are
+        # declarations, not definitions.
         source = (
-            "from repro.api.registry import ExperimentDefinition, register_experiment\n"
+            "from repro.api.protocol import ExperimentShell\n"
+            "from repro.api.registry import register_experiment\n"
             "@register_experiment('empty')\n"
-            "class EmptyDefinition(ExperimentDefinition):\n"
+            "class EmptyExperiment(ExperimentShell):\n"
             "    pass\n"
         )
-        tree = make_tree(make_module(source, rel="repro/api/empty.py"))
-        findings = RegisteredDefinitionRule().check_project(tree, root=None)
+        findings = self._run(
+            load_real_module(PROTOCOL_MODULE), make_module(source, rel="repro/api/empty.py")
+        )
         assert len(findings) == 1
-        assert "config_cls" in findings[0].context
+        assert findings[0].context == "EmptyExperiment:config_cls,PRESETS"
+
+    def test_presets_must_be_a_literal_dict(self):
+        source = (
+            "from repro.api.registry import register_experiment\n"
+            "@register_experiment('computed')\n"
+            "class ComputedExperiment:\n"
+            "    config_cls = dict\n"
+            "    PRESETS = dict(paper={}, fast={}, quick={}, smoke={})\n"
+        )
+        findings = self._run(make_module(source, rel="repro/api/computed.py"))
+        assert [f.context for f in findings] == ["ComputedExperiment:PRESETS"]
 
     def test_members_inherited_from_real_base_count(self):
         base = (
-            "from repro.api.registry import ExperimentDefinition\n"
-            "class SharedBase(ExperimentDefinition):\n"
+            "class SharedBase:\n"
             "    config_cls = dict\n"
-            "    def preset_config(self, preset, seed):\n"
-            "        return {}\n"
-            "    def build(self, config):\n"
-            "        return config\n"
+            "    PRESETS = {'paper': {}, 'fast': {}, 'quick': {}, 'smoke': {}}\n"
         )
         child = (
             "from repro.api.registry import register_experiment\n"
             "from repro.api.shared import SharedBase\n"
             "@register_experiment('derived')\n"
-            "class DerivedDefinition(SharedBase):\n"
+            "class DerivedExperiment(SharedBase):\n"
             "    pass\n"
         )
-        tree = make_tree(
+        assert self._run(
             make_module(base, rel="repro/api/shared.py"),
             make_module(child, rel="repro/api/derived.py"),
-        )
+        ) == []
+
+    def test_missing_registry_module_disables_the_rule(self):
+        tree = make_tree(load_fixture("protocol_bad", rel="repro/api/protocol_bad.py"))
         assert RegisteredDefinitionRule().check_project(tree, root=None) == []
 
 

@@ -7,10 +7,8 @@ import pytest
 from repro.api import (
     PRESETS,
     Experiment,
-    ExperimentDefinition,
     apply_overrides,
     describe_experiment,
-    experiment_definition,
     get_experiment,
     list_experiments,
     parse_set_options,
@@ -18,7 +16,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.exceptions import ConfigurationError
-from repro.experiments import CollectionMode, Fig4Config
+from repro.experiments import CollectionMode, Fig4Config, Fig4Experiment
 from repro.runner import CellResult, SweepCell
 
 ALL_EXPERIMENTS = list_experiments()
@@ -82,10 +80,24 @@ class TestRegistryContents:
         with pytest.raises(ConfigurationError, match="already registered"):
 
             @register_experiment("fig4")
-            class Duplicate(ExperimentDefinition):
+            class Duplicate(Fig4Experiment):
                 """Never registered."""
 
-                config_cls = Fig4Config
+    def test_presets_must_cover_every_preset(self):
+        with pytest.raises(ConfigurationError, match="PRESETS is missing smoke"):
+
+            @register_experiment("fig4_without_smoke")
+            class NoSmoke(Fig4Experiment):
+                """Never registered."""
+
+                PRESETS = {"paper": {}, "fast": {}, "quick": {}}
+
+        assert "fig4_without_smoke" not in list_experiments()
+
+    def test_presets_are_config_overrides_at_the_given_seed(self):
+        for name in ALL_EXPERIMENTS:
+            experiment = get_experiment(name, preset="paper", seed=5)
+            assert experiment.config == type(experiment).config_cls(seed=5)
 
     def test_descriptions_are_one_liners(self):
         for name in ALL_EXPERIMENTS:
@@ -189,6 +201,13 @@ class TestOverrides:
         with pytest.raises(ConfigurationError):
             apply_overrides(object(), {"trials": 2})
 
+    @pytest.mark.parametrize("seed", [7, "7"])
+    def test_seed_override_is_rejected_naming_the_seed_flag(self, seed):
+        # The CLI fans --seeds out from --seed; a --set seed=N would silently
+        # disagree with it, so the seed is only ever the explicit argument.
+        with pytest.raises(ConfigurationError, match="--seed"):
+            get_experiment("fig6", preset="smoke", seed=5, overrides={"seed": seed})
+
     def test_parse_set_options(self):
         assert parse_set_options(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
         with pytest.raises(ConfigurationError, match="key=value"):
@@ -212,7 +231,8 @@ class TestRunExperiment:
         assert provenance["overrides"] == {"trials": 4}
         assert provenance["seeds"] == [experiment.config.seed]
 
-    def test_definition_lookup_exposes_config_cls(self):
-        definition = experiment_definition("fig4")
-        assert definition.config_cls is Fig4Config
-        assert definition.name == "fig4"
+    def test_registered_class_exposes_config_cls(self):
+        experiment = get_experiment("fig4")
+        assert type(experiment) is Fig4Experiment
+        assert Fig4Experiment.config_cls is Fig4Config
+        assert Fig4Experiment.name == "fig4"

@@ -12,6 +12,7 @@ from repro.core import (
     detection_rate_mean_exact,
     detection_rate_variance_exact,
 )
+from repro.core.exact import detection_rate_exact
 from repro.core.theorems import detection_rate_mean, detection_rate_variance
 from repro.exceptions import AnalysisError
 
@@ -81,6 +82,17 @@ class TestExactVariance:
 class TestExactEntropy:
     def test_equals_exact_variance(self):
         assert detection_rate_entropy_exact(1.7, 300) == detection_rate_variance_exact(1.7, 300)
+
+
+class TestDispatch:
+    def test_dispatch_by_name(self):
+        assert detection_rate_exact("mean", 2.0, 100) == detection_rate_mean_exact(2.0)
+        assert detection_rate_exact("variance", 2.0, 100) == detection_rate_variance_exact(2.0, 100)
+        assert detection_rate_exact("entropy", 2.0, 100) == detection_rate_entropy_exact(2.0, 100)
+
+    def test_unknown_feature_rejected(self):
+        with pytest.raises(AnalysisError):
+            detection_rate_exact("mad", 2.0, 100)
 
 
 class TestProperties:

@@ -15,7 +15,7 @@ from repro.core import (
     entropy_constant,
     variance_constant,
 )
-from repro.core.theorems import DETECTION_FLOOR, detection_rate
+from repro.core.theorems import DETECTION_FLOOR, closed_form_rate, detection_rate
 from repro.exceptions import AnalysisError
 
 
@@ -110,6 +110,12 @@ class TestDispatch:
     def test_unknown_feature_rejected(self):
         with pytest.raises(AnalysisError):
             detection_rate("mad", 2.0, 100)
+
+    def test_closed_form_rate_is_nan_without_a_theorem(self):
+        assert closed_form_rate("variance", 2.0, 100) == detection_rate_variance(2.0, 100)
+        assert math.isnan(closed_form_rate("mad", 2.0, 100))
+        with pytest.raises(AnalysisError):
+            closed_form_rate("variance", 0.5, 100)  # bad inputs still raise
 
 
 class TestProperties:

@@ -47,6 +47,7 @@ class TestSweepCellValidation:
             (dict(trials=1), "trials=1"),
             (dict(features=()), "features"),
             (dict(seed_offsets=("same", "same")), "seed_offsets"),
+            (dict(sample_sizes=(50, 50)), "sample_sizes"),
         ],
     )
     def test_rejects_bad_fields_naming_them(self, overrides, fragment):
