@@ -8,9 +8,9 @@ the raw material for both off-line training and run-time classification.
 Three collection modes trade fidelity against run time:
 
 ``simulation``
-    Full event-driven simulation: Poisson payload source → sender gateway
-    (timer + interrupt disturbance) → chain of FIFO routers with cross
-    traffic → tap.  This is the closest analogue of the paper's testbed.
+    Full simulation: Poisson payload source → sender gateway (timer +
+    interrupt disturbance) → chain of FIFO routers with cross traffic →
+    tap.  This is the closest analogue of the paper's testbed.
 
 ``hybrid``
     The gateway is simulated event-by-event (so the payload-dependent jitter
@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,13 +56,16 @@ from repro.padding.gateway import SenderGateway
 from repro.padding.policies import PaddingPolicy, cit_policy
 from repro.padding.receiver import ReceiverGateway
 from repro.sim.engine import Simulator
-from repro.sim.kernel import simulate_padded_capture
+from repro.sim.kernel import ArrivalTieError, routed_path_times, simulate_padded_capture
 from repro.sim.random import RandomStreams
 from repro.traffic.sources import PoissonSource
 from repro.units import (
     PAPER_HIGH_RATE_PPS,
     PAPER_LOW_RATE_PPS,
     PAPER_PACKET_SIZE_BYTES,
+    rate_for_utilization,
+    serialization_delay,
+    utilization,
 )
 
 
@@ -149,6 +152,20 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"cross_utilization={self.cross_utilization!r} > 0 requires at least "
                 f"one router hop to carry the cross traffic, got n_hops={self.n_hops!r}"
+            )
+        # The same comparison cross_traffic_rate_for_utilization makes, so a
+        # scenario is rejected here exactly when a routed capture would fail.
+        padded_rate = self.policy.padded_rate_pps
+        if self.cross_utilization > 0.0 and (
+            rate_for_utilization(self.cross_utilization, self.packet_size_bytes, self.link_rate_bps)
+            < padded_rate
+        ):
+            share = utilization(padded_rate, self.packet_size_bytes, self.link_rate_bps)
+            raise ConfigurationError(
+                f"cross_utilization={self.cross_utilization!r} is below the padded "
+                f"stream's own share {share:g} of the link ({padded_rate:g} pps of "
+                f"{self.packet_size_bytes} B on {self.link_rate_bps:g} bit/s); use 0 "
+                f"for no cross traffic or a utilization of at least {share:g}"
             )
         if self.warmup_time < 0.0:
             raise ConfigurationError(f"warmup_time={self.warmup_time!r} must be >= 0")
@@ -248,22 +265,92 @@ def resolve_kernel_mode(kernel: Optional[str] = None) -> str:
     return mode
 
 
+def _kernel_blocker(scenario: ScenarioConfig) -> Optional[str]:
+    """Why ``scenario`` cannot take the vectorized kernel, or ``None``."""
+    disturbance = scenario.disturbance
+    if disturbance is not None and type(disturbance) is not InterruptDisturbance:
+        return (
+            f"its disturbance class {type(disturbance).__name__} is not the standard "
+            f"InterruptDisturbance the kernel's proof covers"
+        )
+    return None
+
+
 def vectorized_capture_eligible(scenario: ScenarioConfig, with_network: bool) -> bool:
     """Whether a capture can take the vectorized kernel without changing output.
 
-    The closed-form replay covers the no-network gateway pipeline (hybrid
-    captures and zero-hop simulations) with the standard
-    :class:`InterruptDisturbance` (or none).  Anything the kernel's
-    equivalence proof does not cover — routed paths with cross traffic,
-    disturbance subclasses with overridden sampling — falls back to the
-    event engine.
+    The closed-form replay covers the gateway pipeline with the standard
+    :class:`InterruptDisturbance` (or none), both on its own (hybrid
+    captures and zero-hop simulations) and, for ``with_network``, followed
+    by the routed path of FIFO routers with Poisson cross traffic, so the
+    answer is the same for either value of ``with_network``.  A disturbance
+    subclass with overridden sampling falls back to the event engine.  So
+    does a routed capture in which a padded and a cross packet reach a
+    router at exactly the same instant, which only shows once the arrivals
+    are drawn (see :func:`simulate_gateway_capture`).
     """
-    if with_network and scenario.n_hops > 0:
-        return False
+    return _kernel_blocker(scenario) is None
+
+
+def _capture_streams(
+    streams: RandomStreams, label: str, n_hops: int
+) -> Tuple[np.random.Generator, ...]:
+    """The streams one capture of class ``label`` draws from, in
+    :func:`_kernel_capture`'s order: timer, payload, jitter, blocking, then
+    one cross-traffic stream per routed hop."""
+    gateway = (
+        streams.get(f"gateway-{label}"),
+        streams.get(f"payload-{label}"),
+        streams.get(f"gateway-jitter-{label}"),
+        streams.get(f"gateway-blocking-{label}"),
+    )
+    return gateway + tuple(streams.get(f"cross-{label}-hop{hop}") for hop in range(n_hops))
+
+
+def _kernel_capture(
+    scenario: ScenarioConfig,
+    payload_rate_pps: float,
+    rngs: Tuple[np.random.Generator, ...],
+    duration: float,
+) -> np.ndarray:
+    """Tap timestamps of one capture, computed by :mod:`repro.sim.kernel`."""
+    timer_rng, payload_rng, jitter_rng, blocking_rng, *cross_rngs = rngs
     disturbance = scenario.disturbance
-    if disturbance is not None and type(disturbance) is not InterruptDisturbance:
-        return False
-    return True
+    stamps = simulate_padded_capture(
+        interval_generator=scenario.policy.make_timer(),
+        payload_rate_pps=payload_rate_pps,
+        duration=duration,
+        timer_rng=timer_rng,
+        payload_rng=payload_rng,
+        jitter_rng=jitter_rng,
+        blocking_rng=blocking_rng,
+        base_jitter_std=disturbance.base_jitter_std if disturbance else 0.0,
+        blocking_window=disturbance.blocking_window if disturbance else 0.0,
+        blocking_delay_mean=disturbance.blocking_delay_mean if disturbance else 0.0,
+    )
+    if not cross_rngs:
+        return stamps
+    return routed_path_times(
+        stamps,
+        service_time=float(
+            serialization_delay(scenario.packet_size_bytes, scenario.link_rate_bps)
+        ),
+        cross_rate_pps=_cross_rate_pps(scenario),
+        cross_rngs=cross_rngs,
+        horizon=duration,
+    )
+
+
+def _cross_rate_pps(scenario: ScenarioConfig) -> float:
+    """Per-hop cross-traffic rate that brings each link to its utilization."""
+    if scenario.cross_utilization == 0.0:
+        return 0.0
+    return cross_traffic_rate_for_utilization(
+        scenario.cross_utilization,
+        scenario.link_rate_bps,
+        scenario.packet_size_bytes,
+        padded_rate_pps=scenario.policy.padded_rate_pps,
+    )
 
 
 def simulate_gateway_capture(
@@ -278,48 +365,55 @@ def simulate_gateway_capture(
     """Simulate one payload rate's padded capture and return tap intervals.
 
     Uses the vectorized closed-form kernel (:mod:`repro.sim.kernel`) whenever
-    the capture is eligible, falling back to the event engine otherwise; the
-    two produce byte-identical captures, so callers cannot observe which path
-    ran.  ``kernel`` (or the ``REPRO_SIM_KERNEL`` environment variable)
-    forces a specific path — ``event`` is the benchmark harness's scalar
-    baseline, ``vectorized`` is the strict mode used in equivalence tests.
+    the capture is eligible — gateway-only captures and, for
+    ``with_network``, routed paths with cross traffic alike — and the event
+    engine otherwise; the two produce byte-identical captures, so callers
+    cannot observe which path ran.  A routed capture in which a padded and a
+    cross packet reach a router at the same instant replays the engine from
+    the streams' original state.  ``kernel`` (or the ``REPRO_SIM_KERNEL``
+    environment variable) forces a specific path — ``event`` is the
+    benchmark harness's scalar baseline, ``vectorized`` is the strict mode
+    used in equivalence tests, which raises a :class:`ConfigurationError`
+    naming what blocked the kernel.
     """
     mode = resolve_kernel_mode(kernel)
-    eligible = vectorized_capture_eligible(scenario, with_network)
-    if mode == "vectorized" and not eligible:
-        raise ConfigurationError(
-            f"kernel='vectorized' requested but the capture for class {label!r} is "
-            f"not eligible (networked path or non-standard disturbance)"
-        )
+    blocker = _kernel_blocker(scenario)
+    if mode == "vectorized" and blocker is not None:
+        raise _strict_kernel_error(label, blocker)
     # Enough simulated time to capture warmup + the requested intervals, with
     # a small margin for the packets still in flight across the path.
     duration = scenario.warmup_time + (n_intervals + 20) * scenario.policy.mean_interval + 0.5
 
-    if eligible and mode != "event":
-        disturbance = scenario.disturbance
-        stamps = simulate_padded_capture(
-            interval_generator=scenario.policy.make_timer(),
-            payload_rate_pps=payload_rate_pps,
-            duration=duration,
-            timer_rng=streams.get(f"gateway-{label}"),
-            payload_rng=streams.get(f"payload-{label}"),
-            jitter_rng=streams.get(f"gateway-jitter-{label}"),
-            blocking_rng=streams.get(f"gateway-blocking-{label}"),
-            base_jitter_std=disturbance.base_jitter_std if disturbance else 0.0,
-            blocking_window=disturbance.blocking_window if disturbance else 0.0,
-            blocking_delay_mean=disturbance.blocking_delay_mean if disturbance else 0.0,
-        )
-        stamps = stamps[stamps >= scenario.warmup_time]
-        intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
-        if intervals.size < n_intervals:
-            raise ConfigurationError(
-                f"capture for class {label!r} produced only {intervals.size} intervals; "
-                f"{n_intervals} requested (increase the horizon margin)"
-            )
-        return intervals[:n_intervals]
+    if blocker is None and mode != "event":
+        rngs = _capture_streams(streams, label, scenario.n_hops if with_network else 0)
+        saved = [(rng, rng.bit_generator.state) for rng in rngs]
+        try:
+            stamps = _kernel_capture(scenario, payload_rate_pps, rngs, duration)
+        except ArrivalTieError as exc:
+            if mode == "vectorized":
+                raise _strict_kernel_error(label, str(exc)) from exc
+            for rng, state in saved:
+                rng.bit_generator.state = state
+        else:
+            stamps = stamps[stamps >= scenario.warmup_time]
+            intervals = np.diff(stamps) if stamps.size >= 2 else np.empty(0, dtype=float)
+            if intervals.size < n_intervals:
+                raise ConfigurationError(
+                    f"capture for class {label!r} produced only {intervals.size} intervals; "
+                    f"{n_intervals} requested (increase the horizon margin)"
+                )
+            return intervals[:n_intervals]
 
     return _simulate_gateway_capture_events(
         scenario, payload_rate_pps, n_intervals, streams, label, with_network, duration
+    )
+
+
+def _strict_kernel_error(label: str, reason: str) -> ConfigurationError:
+    """The ``kernel='vectorized'`` refusal, naming what blocked the kernel."""
+    return ConfigurationError(
+        f"kernel='vectorized' requested but the capture for class {label!r} cannot "
+        f"take the vectorized kernel: {reason}"
     )
 
 
@@ -351,12 +445,7 @@ def _simulate_gateway_capture_events(
             name=f"path-{label}",
         )
         if scenario.cross_utilization > 0.0:
-            cross_rate = cross_traffic_rate_for_utilization(
-                scenario.cross_utilization,
-                scenario.link_rate_bps,
-                scenario.packet_size_bytes,
-                padded_rate_pps=scenario.policy.padded_rate_pps,
-            )
+            cross_rate = _cross_rate_pps(scenario)
             for hop in range(scenario.n_hops):
                 path.attach_cross_traffic(
                     hop, cross_rate, rng=streams.get(f"cross-{label}-hop{hop}")

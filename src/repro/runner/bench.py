@@ -12,9 +12,10 @@ Three design rules keep the artifact honest across machines:
 * **The headline speedups are measured within one run.**
   ``cold_capture_speedup`` divides the event-engine capture time by the
   vectorized-kernel time for the *same* capture (forced via the ``kernel``
-  argument of :func:`repro.experiments.base.simulate_gateway_capture`), and
-  ``sweep_warm_speedup`` divides a cold sweep by its warm re-run against the
-  same store.  Ratios of timings taken seconds apart on one machine are
+  argument of :func:`repro.experiments.base.simulate_gateway_capture`),
+  ``routed_capture_speedup`` does the same for one routed capture through
+  a loaded FIFO router, and ``sweep_warm_speedup`` divides a cold sweep by
+  its warm re-run against the same store.  Ratios of timings taken seconds apart on one machine are
   meaningful on any machine; absolute seconds are not.
 * **Metric names encode their direction.**  ``*_seconds`` regress upward,
   ``*_speedup`` / ``*_per_sec`` regress downward; :func:`metric_direction`
@@ -52,7 +53,7 @@ DEFAULT_MAX_REGRESSION = 0.2
 #: Metrics that are ratios of same-run timings, hence machine-independent.
 #: CI compares only these against the committed baseline; absolute timings
 #: are recorded for trend lines but never gate a differently-sized runner.
-RATIO_METRICS = ("cold_capture_speedup", "sweep_warm_speedup")
+RATIO_METRICS = ("cold_capture_speedup", "routed_capture_speedup", "sweep_warm_speedup")
 
 
 def metric_direction(name: str) -> str:
@@ -325,6 +326,34 @@ def _time_capture(scenario, n_intervals: int, seed: int, kernel: str, repeats: i
     return _best_of(repeats, one_run)
 
 
+def _time_routed_capture(n_intervals: int, seed: int, repeats: int) -> Tuple[float, float]:
+    """Event and vectorized seconds of one fig6-shaped routed capture.
+
+    The high-rate class through Figure 6's shared 80 Mbit/s router at 50 %
+    utilization, forced onto each kernel from the same seed; refuses to
+    report if the two captures differ.
+    """
+    from repro.experiments.base import ScenarioConfig, simulate_gateway_capture
+    from repro.sim.random import RandomStreams
+
+    scenario = ScenarioConfig(n_hops=1, link_rate_bps=80e6, cross_utilization=0.5)
+
+    def one_run(kernel: str) -> np.ndarray:
+        return simulate_gateway_capture(
+            scenario, scenario.high_rate_pps, n_intervals, RandomStreams(seed), "high",
+            with_network=True, kernel=kernel,
+        )
+
+    event_seconds, event_capture = _best_of(repeats, lambda: one_run("event"))
+    vectorized_seconds, vectorized_capture = _best_of(repeats, lambda: one_run("vectorized"))
+    if not np.array_equal(event_capture, vectorized_capture):
+        raise ConfigurationError(
+            "event and vectorized kernels produced different routed captures; the "
+            "benchmark refuses to report a speedup for a broken kernel"
+        )
+    return event_seconds, vectorized_seconds
+
+
 def _time_engine(n_events: int, repeats: int) -> float:
     """Raw engine throughput: heap insertion + dispatch of no-op events."""
     from repro.sim.engine import Simulator
@@ -470,7 +499,8 @@ def run_bench(
     forced ``event`` and ``vectorized`` kernels from identical seeds, checks
     the outputs are byte-identical (the kernel contract), and cross-checks
     the measured variance ratio against the closed forms in
-    :mod:`repro.core.exact`.
+    :mod:`repro.core.exact`.  The routed benchmark does the same for one
+    routed capture of a quarter as many intervals (at least 100).
     """
     from repro.core.exact import detection_rate_variance_exact
     from repro.experiments.base import ScenarioConfig
@@ -492,6 +522,10 @@ def run_bench(
             "benchmark refuses to report a speedup for a broken kernel"
         )
 
+    routed_intervals = max(100, capture_intervals // 4)
+    routed_event_seconds, routed_vectorized_seconds = _time_routed_capture(
+        routed_intervals, seed, repeats
+    )
     engine_seconds = _time_engine(engine_events, repeats)
     sweep_cold, sweep_warm, n_cells = _time_sweep(seed)
     serial_seconds, process_seconds, dispatch_cells = _time_backends(seed, repeats)
@@ -509,6 +543,9 @@ def run_bench(
         "capture_vectorized_seconds": vectorized_seconds,
         "cold_capture_speedup": event_seconds / vectorized_seconds,
         "kernel_intervals_per_sec": 2 * capture_intervals / vectorized_seconds,
+        "routed_event_seconds": routed_event_seconds,
+        "routed_vectorized_seconds": routed_vectorized_seconds,
+        "routed_capture_speedup": routed_event_seconds / routed_vectorized_seconds,
         "engine_events_per_sec": engine_events / engine_seconds,
         "sweep_cold_seconds": sweep_cold,
         "sweep_warm_seconds": sweep_warm,
@@ -525,6 +562,8 @@ def run_bench(
     }
     notes = {
         "capture_intervals": capture_intervals,
+        "routed_capture": "fig6 router, 50% utilization, high class",
+        "routed_intervals": routed_intervals,
         "engine_events": engine_events,
         "repeats": repeats,
         "seed": seed,

@@ -40,14 +40,40 @@ of a payload arrival landing at *exactly* a timer due time at double
 precision — a measure-zero tie that cannot occur with continuous draws on
 independent streams.
 
-The entry point is :func:`simulate_padded_capture`; the routing decision
-(which captures may take this path) lives with the experiment code in
-:mod:`repro.experiments.base`.
+Routed paths
+------------
+A routed capture sends those stamps through the chain of FIFO routers of
+:class:`repro.network.path.UnprotectedPath`, each shared with a Poisson
+cross-traffic source.  An unbounded FIFO hop whose packets all have one size
+is the Lindley recursion ``D_j = max(A_j, D_{j-1}) + s`` over the merged,
+sorted padded and cross arrivals, where ``s`` is the serialisation time; the
+next hop (or the tap) sees ``D + p``, ``p`` being the propagation delay.
+The engine computes every departure with exactly those two float operations
+(``now + service_time`` from the arrival or from the previous departure), so
+:func:`fifo_departures` reproduces it bit for bit:
+
+1. **Busy periods** start where ``A_j - j*s`` reaches a new running maximum.
+2. **Fill** adds ``s`` one position at a time inside every busy period at
+   once — one vectorized step per position, as many steps as the longest
+   busy period — which is the engine's sequential chain of additions.
+3. **Check** ``D_j == max(A_j, D_{j-1}) + s`` for every element.  Step 1 is
+   evaluated in floating point and can misjudge a near-tie; any element that
+   fails the check is recomputed by the exact sequential loop.
+
+Cross arrivals are :func:`poisson_arrival_times` on each hop's own stream.
+The one engine behaviour the closed form cannot see is the order of a padded
+and a cross packet reaching a router at *exactly* the same instant (the
+engine orders them by scheduling sequence number); :func:`routed_path_times`
+raises :class:`ArrivalTieError` for it so the caller can replay the engine.
+
+The entry points are :func:`simulate_padded_capture` and
+:func:`routed_path_times`; the routing decision (which captures may take
+this path) lives with the experiment code in :mod:`repro.experiments.base`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +86,18 @@ MIN_TX_SPACING_S = 1e-9
 
 #: Mirrors the floor in ``repro.traffic.sources.PoissonSource._next_interval``.
 MIN_PAYLOAD_GAP_S = 1e-12
+
+#: Mirrors the ``propagation_delay`` default of
+#: ``repro.network.path.UnprotectedPath`` (pinned by the kernel tests).
+PATH_PROPAGATION_DELAY_S = 0.5e-3
+
+
+class ArrivalTieError(SimulationError):
+    """A padded and a cross packet reach one router at the same instant.
+
+    The event engine serves such a pair in scheduling-sequence order, which
+    the closed form cannot reproduce; the capture must replay the engine.
+    """
 
 
 def _event_times_until(
@@ -274,9 +312,149 @@ def simulate_padded_capture(
     return send_times[send_times <= duration]
 
 
+def _fill_busy_periods(arrivals: np.ndarray, service_time: float) -> np.ndarray:
+    """Departures of a FIFO queue, filled busy period by busy period.
+
+    In exact arithmetic ``D_j = (j + 1) s + max_{i <= j} (A_i - i s)``, so a
+    busy period starts wherever ``A_j - j s`` sets a new running maximum.
+    Inside a busy period the departures are the chained additions
+    ``D_{b+k} = D_{b+k-1} + s``; step ``k`` performs that addition for every
+    busy period longer than ``k`` at once.
+    """
+    n = arrivals.size
+    departures = np.empty(n, dtype=float)
+    if n == 0:
+        return departures
+    best = arrivals - np.arange(n) * service_time
+    np.maximum.accumulate(best, out=best)
+    starts = np.concatenate(([0], np.flatnonzero(best[1:] > best[:-1]) + 1))
+    del best
+    departures[starts] = arrivals[starts] + service_time
+    lengths = np.diff(np.append(starts, n))
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    # active[k]: how many busy periods are longer than k (lengths descend).
+    active = np.searchsorted(-lengths, -np.arange(int(lengths[0])), side="left")
+    for k in range(1, int(lengths[0])):
+        positions = starts[: active[k]] + k
+        departures[positions] = departures[positions - 1] + service_time
+    return departures
+
+
+def _repair_departures(
+    arrivals: np.ndarray, departures: np.ndarray, service_time: float
+) -> np.ndarray:
+    """Prove ``departures`` solves the Lindley recursion; fix it where not.
+
+    Every element is checked against ``max(A_j, D_{j-1}) + s``.  By
+    induction, an array passing every check *is* the sequential loop's
+    output.  From the first failing element the exact loop takes over, and
+    hands back to the check once a recomputed value equals the one already
+    there.  ``departures`` is repaired in place and returned.
+    """
+    n = arrivals.size
+    if n == 0:
+        return departures
+    expected = np.maximum(arrivals[1:], departures[:-1])
+    expected += service_time
+    first_ok = departures[0] == arrivals[0] + service_time
+    bad = np.concatenate(([not first_ok], departures[1:] != expected))
+    del expected
+    flagged = np.flatnonzero(bad)
+    j = int(flagged[0]) if flagged.size else n
+    while j < n:
+        previous = departures[j - 1] if j else -np.inf
+        fixed = max(arrivals[j], previous) + service_time
+        if fixed != departures[j]:
+            departures[j] = fixed
+            j += 1
+            continue
+        # Back on the verified track: the next element whose check can fail
+        # is the next flagged one.
+        later = flagged[np.searchsorted(flagged, j, side="right") :]
+        j = int(later[0]) if later.size else n
+    return departures
+
+
+def fifo_departures(arrivals: np.ndarray, service_time: float) -> np.ndarray:
+    """Departure times of an unbounded FIFO queue with a constant service time.
+
+    Byte-identical to the sequential loop ``D_j = max(A_j, D_{j-1}) + s``
+    over sorted ``arrivals`` — which is what a
+    :class:`repro.network.router.Router` computes on the event engine when
+    every packet has the same size.
+    """
+    if service_time <= 0.0:
+        raise SimulationError(f"service_time must be > 0, got {service_time!r}")
+    arrivals = np.asarray(arrivals, dtype=float)
+    return _repair_departures(
+        arrivals, _fill_busy_periods(arrivals, service_time), service_time
+    )
+
+
+def _merge_arrivals(
+    padded: np.ndarray, cross: np.ndarray, hop: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge two sorted arrival arrays; return it and the padded positions."""
+    slots = np.searchsorted(cross, padded, side="left")
+    inside = slots < cross.size
+    tied = cross[slots[inside]] == padded[inside]
+    if np.any(tied):
+        at = float(padded[inside][tied][0])
+        raise ArrivalTieError(
+            f"a padded and a cross packet reach hop {hop} at the same instant "
+            f"t={at!r}; the event engine orders them by sequence number"
+        )
+    padded_at = slots + np.arange(padded.size)
+    merged = np.empty(padded.size + cross.size, dtype=float)
+    is_cross = np.ones(merged.size, dtype=bool)
+    is_cross[padded_at] = False
+    merged[padded_at] = padded
+    merged[is_cross] = cross
+    return merged, padded_at
+
+
+def routed_path_times(
+    send_times: np.ndarray,
+    *,
+    service_time: float,
+    cross_rate_pps: float,
+    cross_rngs: Sequence[np.random.Generator],
+    horizon: float,
+    propagation_delay: float = PATH_PROPAGATION_DELAY_S,
+) -> np.ndarray:
+    """Tap timestamps at the exit of a chain of FIFO routers, in closed form.
+
+    Byte-identical to feeding ``send_times`` into
+    :class:`repro.network.path.UnprotectedPath` (one hop per entry of
+    ``cross_rngs``, unbounded buffers, no processing delay, every packet the
+    size whose serialisation takes ``service_time``) with one Poisson
+    cross-traffic source of ``cross_rate_pps`` per hop drawing from that
+    hop's stream, running the engine until ``horizon`` and reading a tap at
+    the last hop's exit.
+
+    Raises
+    ------
+    ArrivalTieError
+        If a padded and a cross packet reach a router at the same instant.
+    """
+    times = np.asarray(send_times, dtype=float)
+    for hop, rng in enumerate(cross_rngs):
+        times = times[times <= horizon]
+        cross = poisson_arrival_times(rng, cross_rate_pps, horizon)
+        merged, padded_at = _merge_arrivals(times, cross, hop)
+        del cross
+        times = fifo_departures(merged, service_time)[padded_at] + propagation_delay
+    return times[times <= horizon]
+
+
 __all__ = [
     "MIN_TX_SPACING_S",
     "MIN_PAYLOAD_GAP_S",
+    "PATH_PROPAGATION_DELAY_S",
+    "ArrivalTieError",
+    "fifo_departures",
+    "routed_path_times",
     "timer_due_times",
     "poisson_arrival_times",
     "blocking_counts",

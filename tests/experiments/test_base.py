@@ -56,6 +56,19 @@ class TestScenarioConfig:
         for fragment in fragments:
             assert fragment in str(excinfo.value)
 
+    def test_utilization_below_the_padded_share_is_rejected(self):
+        """Regression: 0 < u < the padded stream's own share used to be accepted
+        by analytic/hybrid collection and crash routed simulation mid-cell."""
+        # 100 pps x 512 B on 80 Mbit/s: the padded stream alone loads 0.512 %.
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioConfig(n_hops=1, link_rate_bps=80e6, cross_utilization=0.004)
+        message = str(excinfo.value)
+        assert "cross_utilization=0.004" in message
+        assert "0.00512" in message
+        # No cross traffic at all, and the share itself, stay valid.
+        ScenarioConfig(n_hops=1, link_rate_bps=80e6, cross_utilization=0.0)
+        ScenarioConfig(n_hops=1, link_rate_bps=80e6, cross_utilization=0.00512)
+
     def test_net_variance_zero_without_hops(self):
         assert ScenarioConfig().net_piat_variance() == 0.0
 

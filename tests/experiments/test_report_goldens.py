@@ -9,9 +9,8 @@ Two contracts are pinned against fixtures under
   orphans the committed ``sweep_cache`` fixture.  Building cells runs no
   simulation, so even the paper presets are cheap.
 * ``<experiment>-<case>.txt`` — the rendered ``to_text()`` report of every
-  experiment at the ``smoke``, ``quick`` and ``fast`` presets, at ``paper``
-  for every experiment but fig6 (whose routed event simulation takes
-  minutes), and at ``smoke`` over two seeds with 95 % bootstrap intervals.
+  experiment at every preset, and at ``smoke`` over two seeds with 95 %
+  bootstrap intervals.
 
 A mismatch fails with a unified diff of golden against actual.  Regenerate
 the fixtures only after an intentional change to what the experiments
@@ -45,8 +44,6 @@ def report_cases() -> List[Case]:
     cases: List[Case] = []
     for name in list_experiments():
         for preset in ("smoke", "quick", "fast", "paper"):
-            if preset == "paper" and name == "fig6":
-                continue  # routed event simulation: minutes per seed
             cases.append((f"{name}-{preset}", name, preset, None, None))
         cases.append(
             (f"{name}-smoke-seeds2003-2004-ci95", name, "smoke", MULTI_SEEDS, CONFIDENCE)

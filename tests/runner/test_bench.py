@@ -165,6 +165,9 @@ class TestRunBench:
             "capture_vectorized_seconds",
             "cold_capture_speedup",
             "kernel_intervals_per_sec",
+            "routed_event_seconds",
+            "routed_vectorized_seconds",
+            "routed_capture_speedup",
             "engine_events_per_sec",
             "sweep_cold_seconds",
             "sweep_warm_seconds",
@@ -210,6 +213,12 @@ class TestRunBench:
         # The committed artifact records ~75x; even tiny captures on a busy
         # CI box clear 1x comfortably.
         assert result.metrics["cold_capture_speedup"] > 1.0
+
+    def test_routed_kernel_is_faster(self, result):
+        # One routed capture through a half-loaded router: the engine pays
+        # per cross packet, the kernel per array operation.
+        assert result.metrics["routed_capture_speedup"] > 1.0
+        assert result.notes["routed_intervals"] == 100
 
     def test_artifact_round_trips(self, result, tmp_path):
         path = tmp_path / "BENCH_test.json"

@@ -5,16 +5,23 @@ every eligible scenario the closed-form capture must equal the event-engine
 capture exactly, not approximately, because cached sweep results are
 fingerprinted on configuration and silently switching kernels must never
 change a figure.  These tests pin that guarantee across every timer family,
-the disturbance on/off matrix, the kernel-selection plumbing, and the
-constants the kernel mirrors from the gateway and source modules.
+the disturbance on/off matrix, routed paths with cross traffic (including a
+property test over random scenarios), the FIFO recurrence and its repair
+path, the kernel-selection plumbing, and the constants the kernel mirrors
+from the gateway, source and path modules.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments import base
 from repro.experiments.base import (
     KERNEL_ENV_VAR,
     ScenarioConfig,
@@ -24,19 +31,66 @@ from repro.experiments.base import (
 )
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import _MIN_TX_SPACING_S
+from repro.network.path import UnprotectedPath
 from repro.padding.policies import cit_policy, vit_policy
 from repro.sim import kernel
 from repro.sim.random import RandomStreams
+from repro.units import utilization
 
 
-def _capture(scenario: ScenarioConfig, kernel_mode: str, n: int = 800, seed: int = 42):
+def _capture(
+    scenario: ScenarioConfig,
+    kernel_mode: str,
+    n: int = 800,
+    seed: int = 42,
+    with_network: bool = False,
+):
     streams = RandomStreams(seed)
     return {
         label: simulate_gateway_capture(
-            scenario, rate, n, streams, label, with_network=False, kernel=kernel_mode
+            scenario, rate, n, streams, label, with_network=with_network, kernel=kernel_mode
         )
         for label, rate in scenario.rate_labels.items()
     }
+
+
+def _assert_routed_identity(scenario: ScenarioConfig, n: int, seed: int = 42) -> None:
+    event = _capture(scenario, "event", n, seed, with_network=True)
+    vectorized = _capture(scenario, "vectorized", n, seed, with_network=True)
+    for label in ("low", "high"):
+        assert np.array_equal(event[label], vectorized[label]), label
+
+
+@st.composite
+def _routed_scenarios(draw):
+    """Random routed scenarios: 1-3 hops, every timer family, load up to 0.9."""
+    link_rate_bps = draw(st.sampled_from([10e6, 80e6, 100e6]))
+    family = draw(st.sampled_from(["cit", "normal", "uniform", "exponential", "lognormal"]))
+    if family == "cit":
+        policy = cit_policy()
+    else:
+        sigma_t = draw(st.floats(min_value=1e-4, max_value=3e-3))
+        policy = vit_policy(sigma_t=sigma_t, family=family)
+    share = utilization(policy.padded_rate_pps, 512, link_rate_bps)
+    return ScenarioConfig(
+        policy=policy,
+        disturbance=draw(st.sampled_from([InterruptDisturbance(), None])),
+        n_hops=draw(st.integers(min_value=1, max_value=3)),
+        link_rate_bps=link_rate_bps,
+        cross_utilization=draw(st.floats(min_value=share * (1 + 1e-6), max_value=0.9)),
+        packet_size_bytes=512,
+        warmup_time=draw(st.floats(min_value=0.0, max_value=0.5)),
+    )
+
+
+def _lindley_loop(arrivals, service_time):
+    """The sequential reference: D_j = max(A_j, D_{j-1}) + s."""
+    departures = np.empty(len(arrivals))
+    previous = -np.inf
+    for j, arrival in enumerate(arrivals):
+        previous = max(arrival, previous) + service_time
+        departures[j] = previous
+    return departures
 
 
 class TestByteIdentity:
@@ -88,10 +142,9 @@ class TestKernelSelection:
         with pytest.raises(ConfigurationError):
             resolve_kernel_mode("turbo")
 
-    def test_networked_paths_are_ineligible(self):
+    def test_networked_paths_are_eligible(self):
         scenario = ScenarioConfig(n_hops=3, cross_utilization=0.2)
-        assert not vectorized_capture_eligible(scenario, with_network=True)
-        # The same scenario without the routed path is eligible (hybrid mode).
+        assert vectorized_capture_eligible(scenario, with_network=True)
         assert vectorized_capture_eligible(scenario, with_network=False)
 
     def test_disturbance_subclasses_are_ineligible(self):
@@ -102,26 +155,151 @@ class TestKernelSelection:
         assert not vectorized_capture_eligible(scenario, with_network=False)
 
     def test_strict_vectorized_raises_when_ineligible(self):
-        scenario = ScenarioConfig(n_hops=2, cross_utilization=0.2)
+        class CustomDisturbance(InterruptDisturbance):
+            pass
+
+        scenario = ScenarioConfig(
+            disturbance=CustomDisturbance(), n_hops=2, cross_utilization=0.2
+        )
         streams = RandomStreams(1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="CustomDisturbance"):
             simulate_gateway_capture(
                 scenario, 10.0, 50, streams, "low", with_network=True, kernel="vectorized"
             )
 
-    def test_auto_falls_back_to_the_event_engine(self):
-        scenario = ScenarioConfig(n_hops=1, cross_utilization=0.1)
+    def test_auto_falls_back_to_the_event_engine(self, monkeypatch):
+        class CustomDisturbance(InterruptDisturbance):
+            pass
+
+        calls = []
+        events = base._simulate_gateway_capture_events
+        monkeypatch.setattr(
+            base,
+            "_simulate_gateway_capture_events",
+            lambda *args: calls.append(args) or events(*args),
+        )
+        scenario = ScenarioConfig(
+            disturbance=CustomDisturbance(), n_hops=1, cross_utilization=0.1
+        )
         intervals = simulate_gateway_capture(
             scenario, 10.0, 50, RandomStreams(1), "low", with_network=True, kernel="auto"
         )
         assert intervals.shape == (50,)
+        assert len(calls) == 1
+
+
+class TestRoutedByteIdentity:
+    """Routed captures: the kernel equals the event engine, bit for bit."""
+
+    @pytest.mark.parametrize("cross_utilization", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_every_fig6_utilization_matches(self, cross_utilization):
+        scenario = ScenarioConfig(
+            n_hops=1, link_rate_bps=80e6, cross_utilization=cross_utilization, warmup_time=0.5
+        )
+        _assert_routed_identity(scenario, n=300)
+
+    def test_three_loaded_hops_match(self):
+        scenario = ScenarioConfig(
+            n_hops=3, link_rate_bps=80e6, cross_utilization=0.6, warmup_time=0.5
+        )
+        _assert_routed_identity(scenario, n=200)
+
+    def test_hops_without_cross_traffic_match(self):
+        scenario = ScenarioConfig(n_hops=2, cross_utilization=0.0, warmup_time=0.5)
+        _assert_routed_identity(scenario, n=300)
+
+    @given(
+        scenario=_routed_scenarios(),
+        n=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_scenarios_match(self, scenario, n, seed):
+        _assert_routed_identity(scenario, n=n, seed=seed)
+
+
+class TestFifoRecurrence:
+    """The Lindley recursion, its busy-period fill and its exact repair."""
+
+    def test_empty_input(self):
+        assert kernel.fifo_departures(np.empty(0), 1.0).size == 0
+
+    def test_single_packet(self):
+        assert kernel.fifo_departures(np.array([2.5]), 0.25).tolist() == [2.75]
+
+    def test_one_long_busy_period(self):
+        # Arrivals far faster than service: one busy period of 2000 packets,
+        # each departure the previous one plus s, chained like the engine.
+        arrivals = np.linspace(0.0, 1e-6, 2000)
+        departures = kernel.fifo_departures(arrivals, 1e-3)
+        assert np.array_equal(departures, _lindley_loop(arrivals, 1e-3))
+        assert departures[0] == arrivals[0] + 1e-3
+
+    def test_random_load_matches_the_sequential_loop(self):
+        rng = np.random.default_rng(3)
+        arrivals = np.cumsum(rng.exponential(1.0, size=20_000))
+        departures = kernel.fifo_departures(arrivals, 0.95)
+        assert np.array_equal(departures, _lindley_loop(arrivals, 0.95))
+
+    def test_doctored_departures_are_repaired_sequentially(self):
+        rng = np.random.default_rng(5)
+        arrivals = np.cumsum(rng.exponential(1.0, size=500))
+        exact = _lindley_loop(arrivals, 0.8)
+        doctored = exact.copy()
+        doctored[[0, 40, 41, 300]] += [0.5, 1e-9, -1e-9, 3.0]
+        repaired = kernel._repair_departures(arrivals, doctored, 0.8)
+        assert repaired is doctored  # repaired in place
+        assert np.array_equal(repaired, exact)
+
+    def test_a_hop_without_cross_traffic_adds_service_and_propagation(self):
+        sends = np.array([0.0, 0.01, 0.02])
+        times = kernel.routed_path_times(
+            sends,
+            service_time=1e-4,
+            cross_rate_pps=0.0,
+            cross_rngs=[np.random.default_rng(0)],
+            horizon=1.0,
+        )
+        assert np.array_equal(times, sends + 1e-4 + kernel.PATH_PROPAGATION_DELAY_S)
+
+    def test_exact_padded_cross_tie_raises(self):
+        cross = kernel.poisson_arrival_times(np.random.default_rng(9), 500.0, 1.0)
+        sends = np.array([0.5 * cross[3], cross[3], 1.0])
+        with pytest.raises(kernel.ArrivalTieError, match="hop 0"):
+            kernel.routed_path_times(
+                sends,
+                service_time=1e-5,
+                cross_rate_pps=500.0,
+                cross_rngs=[np.random.default_rng(9)],
+                horizon=1.0,
+            )
+
+    def test_a_tie_falls_back_to_the_event_engine(self, monkeypatch):
+        """auto replays the engine from untouched streams; vectorized names the tie."""
+        scenario = ScenarioConfig(n_hops=2, cross_utilization=0.3, warmup_time=0.5)
+        expected = _capture(scenario, "event", 200, with_network=True)
+
+        def tied(send_times, **kwargs):
+            kernel.routed_path_times(send_times, **kwargs)  # draws every stream
+            raise kernel.ArrivalTieError("a padded and a cross packet reach hop 0 at t=1.0")
+
+        monkeypatch.setattr(base, "routed_path_times", tied)
+        fallback = _capture(scenario, "auto", 200, with_network=True)
+        for label in ("low", "high"):
+            assert np.array_equal(fallback[label], expected[label])
+        with pytest.raises(ConfigurationError, match="cross packet reach hop 0"):
+            _capture(scenario, "vectorized", 200, with_network=True)
 
 
 class TestMirroredConstants:
-    """The kernel duplicates two constants to avoid upward imports; pin them."""
+    """The kernel duplicates three constants to avoid upward imports; pin them."""
 
     def test_min_tx_spacing_matches_the_gateway(self):
         assert kernel.MIN_TX_SPACING_S == _MIN_TX_SPACING_S
+
+    def test_propagation_delay_matches_the_path_default(self):
+        default = inspect.signature(UnprotectedPath).parameters["propagation_delay"].default
+        assert kernel.PATH_PROPAGATION_DELAY_S == default
 
     def test_min_payload_gap_matches_the_source(self):
         from repro.sim.engine import Simulator

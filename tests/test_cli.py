@@ -138,6 +138,16 @@ class TestRunCommand:
         assert "repro: error:" in err
         assert "utilizations" in err  # the message names the valid fields
 
+    @pytest.mark.parametrize("preset", ["quick", "paper"])
+    def test_utilization_below_the_padded_share_exits_cleanly(self, preset, capsys):
+        """Every collection mode rejects it up front (hybrid used to accept it)."""
+        argv = ["run", "fig6", "--preset", preset, "--set", "utilizations=0.004"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert "0.00512" in err
+        assert "Traceback" not in err
+
     def test_run_requires_exactly_one_target(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run"])
