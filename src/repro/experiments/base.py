@@ -276,22 +276,6 @@ def _kernel_blocker(scenario: ScenarioConfig) -> Optional[str]:
     return None
 
 
-def vectorized_capture_eligible(scenario: ScenarioConfig, with_network: bool) -> bool:
-    """Whether a capture can take the vectorized kernel without changing output.
-
-    The closed-form replay covers the gateway pipeline with the standard
-    :class:`InterruptDisturbance` (or none), both on its own (hybrid
-    captures and zero-hop simulations) and, for ``with_network``, followed
-    by the routed path of FIFO routers with Poisson cross traffic, so the
-    answer is the same for either value of ``with_network``.  A disturbance
-    subclass with overridden sampling falls back to the event engine.  So
-    does a routed capture in which a padded and a cross packet reach a
-    router at exactly the same instant, which only shows once the arrivals
-    are drawn (see :func:`simulate_gateway_capture`).
-    """
-    return _kernel_blocker(scenario) is None
-
-
 def _capture_streams(
     streams: RandomStreams, label: str, n_hops: int
 ) -> Tuple[np.random.Generator, ...]:
@@ -642,7 +626,6 @@ __all__ = [
     "KERNEL_MODES",
     "resolve_kernel_mode",
     "resolve_seeds",
-    "vectorized_capture_eligible",
     "simulate_gateway_capture",
     "ScenarioConfig",
     "PaddedStreamCapture",

@@ -23,7 +23,6 @@ the mechanism behind the Figure 6 (lab cross traffic) and Figure 8
 
 from repro.network.crosstraffic import (
     CrossTrafficGenerator,
-    attach_diurnal_cross_traffic,
     cross_traffic_rate_for_utilization,
 )
 from repro.network.delay_models import (
@@ -52,7 +51,6 @@ __all__ = [
     "Demux",
     "Router",
     "CrossTrafficGenerator",
-    "attach_diurnal_cross_traffic",
     "cross_traffic_rate_for_utilization",
     "UnprotectedPath",
     "TopologySpec",

@@ -6,10 +6,10 @@ is the resulting utilization of the shared output link.  In the campus and
 WAN experiments (Figure 8) the cross traffic is whatever the campus/Internet
 carries, which rises and falls over the day.
 
-This module provides both: constant-utilization generators for the Figure 6
-sweep and diurnal-profile generators for the Figure 8 runs.  Cross traffic is
-Poisson by default (aggregated traffic from many independent sources), with a
-CBR option for the ablation benchmarks.
+This module provides the generator for both: a Poisson source (aggregated
+traffic from many independent sources) driven by a constant rate for the
+Figure 6 sweep or by a :class:`~repro.traffic.schedule.DiurnalProfile` for the
+Figure 8 runs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from repro.exceptions import NetworkError
 from repro.sim.engine import Simulator
 from repro.traffic.packet import PacketKind
-from repro.traffic.schedule import DiurnalProfile, RateSchedule
-from repro.traffic.sources import CBRSource, PacketSink, PoissonSource, TrafficSource
+from repro.traffic.schedule import RateSchedule
+from repro.traffic.sources import PacketSink, PoissonSource
 from repro.units import PAPER_PACKET_SIZE_BYTES, rate_for_utilization
 
 
@@ -57,7 +57,7 @@ def cross_traffic_rate_for_utilization(
 
 
 class CrossTrafficGenerator:
-    """A cross-traffic source attached to a router's input.
+    """A Poisson cross-traffic source attached to a router's input.
 
     Parameters
     ----------
@@ -71,8 +71,6 @@ class CrossTrafficGenerator:
         :class:`~repro.traffic.schedule.DiurnalProfile`).
     rng:
         Random stream for the arrival process.
-    process:
-        ``"poisson"`` (default) or ``"cbr"``.
     packet_size_bytes:
         Size of cross packets (defaults to the padded packet size so that
         utilization arithmetic matches the paper's setup).
@@ -86,16 +84,10 @@ class CrossTrafficGenerator:
         sink: PacketSink,
         rate: Union[float, RateSchedule],
         rng: Optional[np.random.Generator] = None,
-        process: str = "poisson",
         packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
         flow_id: str = "cross",
     ) -> None:
-        process = process.lower()
-        if process not in ("poisson", "cbr"):
-            raise NetworkError(f"unknown cross-traffic process {process!r}")
-        source_cls = PoissonSource if process == "poisson" else CBRSource
-        self.process = process
-        self.source: TrafficSource = source_cls(
+        self.source = PoissonSource(
             simulator,
             sink,
             rate=rate,
@@ -119,44 +111,7 @@ class CrossTrafficGenerator:
         return self.source.packets_emitted
 
 
-def attach_diurnal_cross_traffic(
-    simulator: Simulator,
-    sink: PacketSink,
-    peak_utilization: float,
-    link_rate_bps: float,
-    rng: Optional[np.random.Generator] = None,
-    packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
-    hourly_multipliers=DiurnalProfile.DEFAULT_MULTIPLIERS,
-    flow_id: str = "diurnal-cross",
-) -> CrossTrafficGenerator:
-    """Create (and return, not yet started) a day-shaped cross-traffic source.
-
-    ``peak_utilization`` is the utilization the cross traffic alone reaches at
-    the profile's busiest hour; other hours scale down according to
-    ``hourly_multipliers``.
-    """
-    if not 0.0 <= peak_utilization < 1.0:
-        raise NetworkError("peak utilization must lie in [0, 1)")
-    multipliers = np.asarray(hourly_multipliers, dtype=float)
-    peak_multiplier = float(np.max(multipliers))
-    if peak_multiplier <= 0.0:
-        raise NetworkError("diurnal profile must have at least one positive hour")
-    peak_rate = rate_for_utilization(peak_utilization, packet_size_bytes, link_rate_bps)
-    base_rate = peak_rate / peak_multiplier
-    profile = DiurnalProfile(base_rate_pps=base_rate, hourly_multipliers=multipliers)
-    return CrossTrafficGenerator(
-        simulator,
-        sink,
-        rate=profile,
-        rng=rng,
-        process="poisson",
-        packet_size_bytes=packet_size_bytes,
-        flow_id=flow_id,
-    )
-
-
 __all__ = [
     "cross_traffic_rate_for_utilization",
     "CrossTrafficGenerator",
-    "attach_diurnal_cross_traffic",
 ]

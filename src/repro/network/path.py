@@ -162,10 +162,9 @@ class UnprotectedPath:
         hop_index: int,
         rate: RateLike,
         rng: Optional[np.random.Generator] = None,
-        process: str = "poisson",
         flow_id: Optional[str] = None,
     ) -> CrossTrafficGenerator:
-        """Attach (and return, not yet started) a cross-traffic source at a hop."""
+        """Attach (and return, not yet started) a Poisson cross-traffic source at a hop."""
         if not 0 <= hop_index < self.n_hops:
             raise NetworkError(
                 f"hop_index must be in [0, {self.n_hops - 1}], got {hop_index}"
@@ -175,7 +174,6 @@ class UnprotectedPath:
             self.routers[hop_index].receive,
             rate=rate,
             rng=rng,
-            process=process,
             packet_size_bytes=self.packet_size_bytes,
             flow_id=flow_id or f"{self.name}-cross-hop{hop_index}",
         )

@@ -41,26 +41,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends import create_backend
-from repro.runner.backends.base import (
-    FORKED_CAPTURES,
-    Task,
-    TaskFailure,
-    execute_task,
-    task_key,
-)
+from repro.runner.backends.base import FORKED_CAPTURES, Task, TaskFailure
 from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
 from repro.runner.cells import CellResult, SweepCell, run_cell
 from repro.runner.store import ResultsStore
-
-# Historical (pre-backend-extraction) names, kept so existing imports and
-# monkeypatch targets stay valid.  ``_FORKED_CAPTURES`` must be the *same*
-# dict object as the backends module's — fork copy-on-write sharing and the
-# in-process lookup both go through that one instance.
-_Task = Task
-_CellFailure = TaskFailure
-_FORKED_CAPTURES = FORKED_CAPTURES
-_task_key = task_key
-_execute_task = execute_task
 
 
 @dataclass
@@ -235,7 +219,7 @@ class SweepRunner:
             if cell.capture is not None:
                 fingerprint = cell.capture.fingerprint()
                 if share_by_fork:
-                    _FORKED_CAPTURES[fingerprint] = captures[fingerprint][0]
+                    FORKED_CAPTURES[fingerprint] = captures[fingerprint][0]
                 else:
                     injected = captures[fingerprint][0]
             tasks.append(("cell", cell, injected))
@@ -258,7 +242,7 @@ class SweepRunner:
                     f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
                 )
         finally:
-            _FORKED_CAPTURES.clear()
+            FORKED_CAPTURES.clear()
 
         hits = misses = deduplicated = 0
         for cell in cell_list:

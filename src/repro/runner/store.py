@@ -7,9 +7,8 @@ characters of the fingerprint under the store's root directory::
     ├── ab/
     │   ├── abcd0…e1.jsonl     # every record ever written for this fingerprint
     │   └── ab9f3…77.jsonl
-    ├── c0/
-    │   └── c04d1…38.jsonl
-    └── results.jsonl          # optional legacy flat file (read-only)
+    └── c0/
+        └── c04d1…38.jsonl
 
 Each line is a self-contained record::
 
@@ -21,20 +20,21 @@ configuration dict kept alongside for auditability (a record can be traced
 back to its scenario without the code that produced it); ``result`` is the
 :meth:`repro.runner.cells.CellResult.to_json_dict` (or
 :meth:`repro.runner.capture.CaptureResult.to_json_dict`) payload; ``kind``
-distinguishes ordinary sweep cells from shared gateway captures (absent on
-legacy records, which are all cells).
+distinguishes ordinary sweep cells from shared gateway captures (a record
+without one is a cell).
 
 Sharding keeps lookups O(1) file reads — a warm sweep never loads the whole
 store — and keeps any one directory small enough for ordinary tooling once
-stores grow to many thousands of records.  Stores written by older versions
-as a single flat ``results.jsonl`` remain transparently readable: shard files
-take precedence, the flat file is the fallback.  :meth:`compact` migrates the
-flat file into shards and drops superseded duplicate records.
+stores grow to many thousands of records.  :meth:`compact` drops superseded
+duplicate records, which accumulate when two sweeps share a store.
 
 The format is deliberately boring: appends are a single ``write`` call, a
 half-written last line (from a killed run) is skipped on load, duplicate
 fingerprints resolve to the *last* record, and the files diff/merge cleanly
-enough to commit a small fixture store for CI warm-cache runs.
+enough to commit a small fixture store for CI warm-cache runs.  A shard only
+ever serves the fingerprint it is named after
+(:meth:`ResultsStore.winning_record`); a line carrying any other fingerprint
+is never returned, counted or kept by compaction.
 """
 
 from __future__ import annotations
@@ -57,14 +57,15 @@ _FINGERPRINT_RE = re.compile(r"[0-9a-zA-Z]{3,128}")
 class StoreStats:
     """Health snapshot of a results store (``repro cache stats``).
 
-    ``records`` counts winning records (one per fingerprint); ``cells`` /
-    ``captures`` split them by record kind.  ``superseded`` counts lines
-    shadowed by a newer record for the same fingerprint — the waste a
-    compaction targets, though :meth:`ResultsStore.compact` deliberately
-    leaves files it cannot fully interpret (foreign-schema or truncated
-    lines) untouched, so the counter can stay non-zero after compacting.
-    ``legacy_records`` counts the lines still living in a pre-sharding flat
-    ``results.jsonl``.  ``schema_versions`` lists every ``schema`` value
+    ``records`` counts winning records (one per shard, the same count as
+    ``len(store)``); ``cells`` / ``captures`` split them by record kind.
+    ``superseded`` counts the other readable lines of a shard — older
+    records for its fingerprint and lines naming another fingerprint, none
+    of which a lookup returns.  They are the waste a compaction targets,
+    though :meth:`ResultsStore.compact` deliberately leaves files it cannot
+    fully interpret (foreign-schema or truncated lines) untouched, so the
+    counter can stay non-zero after compacting.  ``schema_versions`` lists
+    every ``schema`` value
     present, including versions this code cannot read — a store carrying
     foreign versions after an upgrade/rollback is worth noticing in
     nightly-sweep logs.
@@ -74,7 +75,6 @@ class StoreStats:
     cells: int
     captures: int
     shard_files: int
-    legacy_records: int
     superseded: int
     total_bytes: int
     #: Every distinct ``schema`` value found, foreign types included (a
@@ -85,7 +85,7 @@ class StoreStats:
         versions = ", ".join(str(v) for v in self.schema_versions) or "(empty store)"
         return (
             f"{self.records} records ({self.cells} cells, {self.captures} captures), "
-            f"{self.shard_files} shard files, {self.legacy_records} legacy records, "
+            f"{self.shard_files} shard files, "
             f"{self.superseded} superseded duplicates, {self.total_bytes} bytes, "
             f"schema versions: {versions}"
         )
@@ -97,20 +97,16 @@ class CompactionStats:
 
     records_kept: int
     superseded_dropped: int
-    legacy_migrated: int
 
     def __str__(self) -> str:
         return (
             f"{self.records_kept} records kept, "
-            f"{self.superseded_dropped} superseded duplicates dropped, "
-            f"{self.legacy_migrated} legacy records migrated into shards"
+            f"{self.superseded_dropped} superseded duplicates dropped"
         )
 
 
 class ResultsStore:
     """A directory-backed cache of cell results, keyed by config fingerprint."""
-
-    LEGACY_FILENAME = "results.jsonl"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self._root = Path(root)
@@ -119,19 +115,12 @@ class ResultsStore:
                 f"results store root {str(self._root)!r} exists and is not a directory"
             )
         self._index: Dict[str, Dict[str, Any]] = {}
-        self._legacy_index: Dict[str, Dict[str, Any]] = {}
-        self._legacy_loaded = False
 
     # ----------------------------------------------------------------- layout
     @property
     def root(self) -> Path:
         """The store's root directory."""
         return self._root
-
-    @property
-    def legacy_path(self) -> Path:
-        """The flat JSON-lines file written by pre-sharding versions."""
-        return self._root / self.LEGACY_FILENAME
 
     def shard_path(self, fingerprint: str) -> Path:
         """The shard file holding every record for ``fingerprint``."""
@@ -176,49 +165,52 @@ class ResultsStore:
                 records.append(record)
         return records
 
-    def _load_legacy(self) -> None:
-        if self._legacy_loaded:
-            return
-        self._legacy_loaded = True
-        for record in self.read_records(self.legacy_path):
-            self._legacy_index[record["fingerprint"]] = record
+    @classmethod
+    def winning_record(
+        cls, path: Path, records: Optional[List[Dict[str, Any]]] = None
+    ) -> Optional[Dict[str, Any]]:
+        """The record a lookup of shard ``path``'s fingerprint returns.
+
+        That is the last valid line (:meth:`read_records`) whose
+        ``fingerprint`` is the shard's file name; ``None`` when there is
+        none.  Lines naming another fingerprint are never served.  Lookups,
+        listings, :meth:`stats`, :meth:`compact` and the sqlite index all
+        resolve a shard through this one rule.  ``records`` passes in the
+        shard's already-parsed :meth:`read_records`, saving a second read.
+        """
+        if records is None:
+            records = cls.read_records(path)
+        winner = None
+        for record in records:
+            if record["fingerprint"] == path.stem:
+                winner = record
+        return winner
 
     def get(self, fingerprint: str, kind: str = "cell") -> Optional[Dict[str, Any]]:
         """The record for ``fingerprint``, or ``None`` on a cache miss.
 
-        Shard files take precedence over the legacy flat file; within a file
-        the last record wins.  ``kind`` filters out records of the other
-        record family (legacy records carry no ``kind`` and count as cells).
+        The shard's last record wins (:meth:`winning_record`).  ``kind``
+        filters out records of the other record family.
 
-        The kind filter applies *after* precedence is resolved: when a shard
-        holds a winning record of the wrong ``kind``, the lookup returns
-        ``None`` without falling back to an older same-kind record — in the
-        shard or in the legacy flat file.  This is deliberate last-record-
-        wins semantics: the newest record for a fingerprint is the truth
-        about it, and a kind mismatch means the caller is asking for a
-        record family that fingerprint no longer is (pinned by tests in
-        ``tests/runner/test_store.py``).
+        The kind filter applies *after* the winner is resolved: when a shard's
+        winning record is of the wrong ``kind``, the lookup returns ``None``
+        without falling back to an older same-kind record.  This is
+        deliberate last-record-wins semantics: the newest record for a
+        fingerprint is the truth about it, and a kind mismatch means the
+        caller is asking for a record family that fingerprint no longer is
+        (pinned by tests in ``tests/runner/test_store.py``).
         """
         record = self._index.get(fingerprint)
         if record is None:
             try:
                 shard = self.shard_path(fingerprint)
             except ConfigurationError:
-                shard = None
-            if shard is not None and shard.exists():
-                # read_records() guarantees a string fingerprint, but a
-                # doctored or foreign-tool shard line should degrade to a
-                # skip, never to a KeyError on an unrelated lookup.
-                records = [
-                    r for r in self.read_records(shard) if r.get("fingerprint") == fingerprint
-                ]
-                if records:
-                    record = records[-1]
-                    self._index[fingerprint] = record
-        if record is None:
-            self._load_legacy()
-            record = self._legacy_index.get(fingerprint)
-        if record is None or record.get("kind", "cell") != kind:
+                return None
+            record = self.winning_record(shard)
+            if record is None:
+                return None
+            self._index[fingerprint] = record
+        if record.get("kind", "cell") != kind:
             return None
         return record
 
@@ -244,100 +236,54 @@ class ResultsStore:
         self._index[fingerprint] = record
 
     # ------------------------------------------------------------- compaction
-    def _shard_files(self) -> List[Path]:
-        if not self._root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self._root.glob("??/*.jsonl")
-            if path.is_file()
-        )
-
     def shard_files(self) -> List[Path]:
         """Every shard file in the store, in sorted (deterministic) order.
 
-        Public for maintenance tooling — compaction, ``repro cache stats``
-        and the sqlite index (:mod:`repro.store.index`) all walk the same
-        listing.
+        Listings, compaction, ``repro cache stats`` and the sqlite index
+        (:mod:`repro.store.index`) all walk this one listing.
         """
-        return self._shard_files()
+        if not self._root.is_dir():
+            return []
+        return sorted(path for path in self._root.glob("??/*.jsonl") if path.is_file())
 
     @staticmethod
     def _count_data_lines(path: Path) -> int:
         return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
     def compact(self) -> CompactionStats:
-        """Drop superseded duplicates and fold the legacy flat file into shards.
+        """Rewrite every shard file to its winning record.
 
-        Every shard file is rewritten to its last (winning) record, legacy
-        records without a shard are migrated into one, and the legacy flat
-        file is removed.  The store's observable contents are unchanged —
-        and so are records this code version cannot interpret: a file
-        containing foreign-schema or partial lines (e.g. a store restored
-        from a cache written by a different ``SCHEMA_VERSION``) is left
-        exactly as it is, so a rollback still finds its data.
+        Superseded duplicates and lines naming another fingerprint are
+        dropped (:meth:`winning_record`), so the store's observable contents
+        are unchanged — and so are records this code version cannot
+        interpret: a file containing foreign-schema or partial lines (e.g. a
+        store restored from a cache written by a different
+        ``SCHEMA_VERSION``) is left exactly as it is, so a rollback still
+        finds its data.
         """
         superseded = 0
         kept = 0
-        for path in self._shard_files():
+        for path in self.shard_files():
             records = self.read_records(path)
+            winner = self.winning_record(path, records)
             if len(records) != self._count_data_lines(path):
                 # Foreign-schema or truncated lines present: not ours to drop.
-                kept += len({record["fingerprint"] for record in records})
+                kept += winner is not None
                 continue
-            if not records:
+            if winner is None:
+                superseded += len(records)
                 path.unlink()
                 continue
-            last_by_fingerprint: Dict[str, Dict[str, Any]] = {}
-            for record in records:
-                last_by_fingerprint[record["fingerprint"]] = record
-            superseded += len(records) - len(last_by_fingerprint)
-            kept += len(last_by_fingerprint)
-            if len(records) != len(last_by_fingerprint):
-                lines = [
-                    json.dumps(record, sort_keys=True)
-                    for record in last_by_fingerprint.values()
-                ]
+            kept += 1
+            if len(records) > 1:
+                superseded += len(records) - 1
                 # Rewrite atomically: a crash mid-compaction must never turn a
                 # cached fingerprint into a miss (the store's crash-tolerance
                 # contract covers compaction too).
                 scratch = path.with_suffix(".jsonl.tmp")
-                scratch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                scratch.write_text(json.dumps(winner, sort_keys=True) + "\n", encoding="utf-8")
                 os.replace(scratch, path)
-
-        migrated = 0
-        if self.legacy_path.exists():
-            legacy_records = self.read_records(self.legacy_path)
-            foreign_lines = self._count_data_lines(self.legacy_path) - len(legacy_records)
-            last_by_fingerprint = {}
-            for record in legacy_records:
-                last_by_fingerprint[record["fingerprint"]] = record
-            superseded += len(legacy_records) - len(last_by_fingerprint)
-            unmigratable = 0
-            for fingerprint, record in last_by_fingerprint.items():
-                try:
-                    self._check_fingerprint(fingerprint)
-                except ConfigurationError:
-                    unmigratable += 1  # not a shardable token; keep the flat file
-                    continue
-                if self.shard_path(fingerprint).exists():
-                    superseded += 1  # a shard record supersedes the legacy one
-                    continue
-                self.put(
-                    fingerprint,
-                    record.get("config", {}),
-                    record["result"],
-                    kind=record.get("kind", "cell"),
-                )
-                migrated += 1
-                kept += 1
-            if unmigratable == 0 and foreign_lines == 0:
-                self.legacy_path.unlink()
-                self._legacy_index.clear()
-                self._legacy_loaded = True
-        return CompactionStats(
-            records_kept=kept, superseded_dropped=superseded, legacy_migrated=migrated
-        )
+        return CompactionStats(records_kept=kept, superseded_dropped=superseded)
 
     # ------------------------------------------------------------------ stats
     @staticmethod
@@ -365,46 +311,30 @@ class ResultsStore:
     def stats(self) -> StoreStats:
         """Aggregate store-health counters (see :class:`StoreStats`).
 
-        Reads every file once; intended for maintenance commands and
+        Reads every shard file; intended for maintenance commands and
         nightly-sweep logs, not the warm-sweep hot path.
         """
-        shard_files = self._shard_files()
-        winners: Dict[str, Dict[str, Any]] = {}
-        superseded = 0
-        total_bytes = 0
+        shard_files = self.shard_files()
+        records = cells = captures = superseded = total_bytes = 0
         schema_versions: set = set()
         for path in shard_files:
             total_bytes += path.stat().st_size
-            records = self._raw_records(path)
-            last: Dict[str, Dict[str, Any]] = {}
-            for record in records:
-                schema_versions.add(record.get("schema"))
-                last[record["fingerprint"]] = record
-            superseded += len(records) - len(last)
-            winners.update(last)
-        legacy_records = 0
-        if self.legacy_path.exists():
-            total_bytes += self.legacy_path.stat().st_size
-            records = self._raw_records(self.legacy_path)
-            legacy_records = len(records)
-            last = {}
-            for record in records:
-                schema_versions.add(record.get("schema"))
-                last[record["fingerprint"]] = record
-            superseded += len(records) - len(last)
-            for fingerprint, record in last.items():
-                if fingerprint in winners:
-                    superseded += 1  # the shard record shadows the legacy one
-                else:
-                    winners[fingerprint] = record
-        cells = sum(1 for r in winners.values() if r.get("kind", "cell") == "cell")
-        captures = sum(1 for r in winners.values() if r.get("kind") == "capture")
+            schema_versions.update(record.get("schema") for record in self._raw_records(path))
+            valid = self.read_records(path)
+            winner = self.winning_record(path, valid)
+            superseded += len(valid) - (winner is not None)
+            if winner is None:
+                continue
+            records += 1
+            if winner.get("kind", "cell") == "cell":
+                cells += 1
+            elif winner.get("kind") == "capture":
+                captures += 1
         return StoreStats(
-            records=len(winners),
+            records=records,
             cells=cells,
             captures=captures,
             shard_files=len(shard_files),
-            legacy_records=legacy_records,
             superseded=superseded,
             total_bytes=total_bytes,
             schema_versions=tuple(
@@ -414,43 +344,20 @@ class ResultsStore:
 
     # -------------------------------------------------------------- protocols
     def fingerprints(self) -> Iterator[str]:
-        """All cached fingerprints (shards in path order, then legacy-only).
+        """Every cached fingerprint, in shard path order.
 
         Each shard is parsed at most once per store instance (the winning
         record is cached in the in-memory index), so repeated listings of a
         large store cost one directory scan plus dictionary lookups.
         """
-        seen: List[str] = []
-        seen_set = set()
-        for path in self._shard_files():
+        for path in self.shard_files():
             fingerprint = path.stem
-            if fingerprint in seen_set:
-                continue
-            record = self._index.get(fingerprint)
-            if record is None:
-                records = [
-                    r for r in self.read_records(path) if r.get("fingerprint") == fingerprint
-                ]
-                if records:
-                    record = records[-1]
-                    self._index[fingerprint] = record
-            if record is not None:
-                seen.append(fingerprint)
-                seen_set.add(fingerprint)
-        self._load_legacy()
-        for fingerprint in self._legacy_index:
-            if fingerprint in seen_set:
-                continue
-            try:
-                shadowed = self.shard_path(fingerprint).exists()
-            except ConfigurationError:
-                # Not a shardable token (hand-edited/foreign record); it can
-                # only live in the flat file, which compact() also preserves.
-                shadowed = False
-            if not shadowed:
-                seen.append(fingerprint)
-                seen_set.add(fingerprint)
-        return iter(seen)
+            if fingerprint not in self._index:
+                record = self.winning_record(path)
+                if record is None:
+                    continue
+                self._index[fingerprint] = record
+            yield fingerprint
 
     def __contains__(self, fingerprint: str) -> bool:
         return (

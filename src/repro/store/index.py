@@ -34,22 +34,17 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runner.store import ResultsStore
 
 #: Bumped whenever the sqlite layout changes; a mismatching index is
 #: dropped and rebuilt from the JSONL truth on the next refresh.
-INDEX_SCHEMA_VERSION = 1
+INDEX_SCHEMA_VERSION = 2
 
 #: The index database, living at the store root next to the shards.
 INDEX_FILENAME = "index.sqlite"
-
-#: Row priorities mirroring the store's precedence: a shard record always
-#: shadows a legacy flat-file record for the same fingerprint.
-_PRIORITY_LEGACY = 0
-_PRIORITY_SHARD = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -77,8 +72,7 @@ CREATE TABLE IF NOT EXISTS records (
     variance_ratio REAL,
     detection_rates TEXT,
     result_json TEXT,
-    source TEXT NOT NULL,
-    priority INTEGER NOT NULL
+    source TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS records_source ON records (source);
 CREATE TABLE IF NOT EXISTS labels (
@@ -194,48 +188,17 @@ class StoreIndex:
         return connection
 
     # ---------------------------------------------------------------- refresh
-    def _current_files(self) -> List[Tuple[str, Path, int, int, int]]:
-        """Every store file as ``(relpath, path, mtime_ns, size, priority)``.
-
-        The legacy flat file sorts first (lowest priority), so shard rows
-        inserted later can shadow its records — the same precedence
-        :meth:`~repro.runner.store.ResultsStore.get` applies.
-        """
-        files: List[Tuple[str, Path, int, int, int]] = []
-        legacy = self._store.legacy_path
-        if legacy.exists():
-            stat = legacy.stat()
-            files.append(
-                (legacy.name, legacy, stat.st_mtime_ns, stat.st_size, _PRIORITY_LEGACY)
-            )
+    def _current_files(self) -> List[Tuple[str, Path, int, int]]:
+        """Every shard file as ``(relpath, path, mtime_ns, size)``."""
+        files: List[Tuple[str, Path, int, int]] = []
         for path in self._store.shard_files():
             stat = path.stat()
             relpath = path.relative_to(self._store.root).as_posix()
-            files.append((relpath, path, stat.st_mtime_ns, stat.st_size, _PRIORITY_SHARD))
+            files.append((relpath, path, stat.st_mtime_ns, stat.st_size))
         return files
 
     @staticmethod
-    def _winning_records(
-        path: Path, priority: int
-    ) -> List[Dict[str, Any]]:
-        """The last record per fingerprint in ``path``, in first-seen order.
-
-        Shard files only contribute the fingerprint they are named after
-        (matching :meth:`ResultsStore.get`, which filters shard lines the
-        same way); the legacy flat file contributes everything.
-        """
-        last: Dict[str, Dict[str, Any]] = {}
-        for record in ResultsStore.read_records(path):
-            fingerprint = record.get("fingerprint")
-            if priority == _PRIORITY_SHARD and fingerprint != path.stem:
-                continue
-            last[str(fingerprint)] = record
-        return list(last.values())
-
-    @staticmethod
-    def _record_row(
-        record: Dict[str, Any], source: str, priority: int
-    ) -> Tuple[Any, ...]:
+    def _record_row(record: Dict[str, Any], source: str) -> Tuple[Any, ...]:
         """One ``records`` row extracted from a store record.
 
         Scenario scalars are pulled with ``.get`` so records written by a
@@ -269,17 +232,16 @@ class StoreIndex:
             else None,
             json.dumps(result, sort_keys=True) if is_cell else None,
             source,
-            priority,
         )
 
     def refresh(self) -> IndexStats:
         """Bring the index up to date with the store; returns the delta.
 
         Unchanged files (same ``(mtime_ns, size)`` signature as last time)
-        are not reopened.  Removing a shard deletes its rows and rescans the
-        legacy flat file, so a legacy record shadowed by the deleted shard
-        resurfaces — exactly what a store lookup would now return.  Labels
-        are rebuilt only when any record changed.
+        are not reopened; a dirty shard contributes its winning record
+        (:meth:`~repro.runner.store.ResultsStore.winning_record`), exactly what
+        a store lookup returns.  Removing a shard deletes its row.  Labels are
+        rebuilt only when any record changed.
         """
         connection = self.connect()
         try:
@@ -290,7 +252,6 @@ class StoreIndex:
             current = self._current_files()
             current_paths = {relpath for relpath, *_ in current}
             removed = sorted(set(known) - current_paths)
-            shard_removed = any(relpath != ResultsStore.LEGACY_FILENAME for relpath in removed)
 
             records_removed = 0
             for relpath in removed:
@@ -300,28 +261,18 @@ class StoreIndex:
 
             files_scanned = 0
             records_written = 0
-            for relpath, path, mtime_ns, size, priority in current:
-                dirty = known.get(relpath) != (mtime_ns, size)
-                if priority == _PRIORITY_LEGACY and shard_removed:
-                    # A removed shard may have shadowed legacy records;
-                    # rescan the flat file so they resurface.
-                    dirty = True
-                if not dirty:
+            for relpath, path, mtime_ns, size in current:
+                if known.get(relpath) == (mtime_ns, size):
                     continue
                 files_scanned += 1
                 cursor = connection.execute("DELETE FROM records WHERE source = ?", (relpath,))
                 records_removed += cursor.rowcount
-                for record in self._winning_records(path, priority):
-                    existing = connection.execute(
-                        "SELECT priority FROM records WHERE fingerprint = ?",
-                        (record["fingerprint"],),
-                    ).fetchone()
-                    if existing is not None and existing["priority"] > priority:
-                        continue  # a shard row shadows this legacy record
+                record = ResultsStore.winning_record(path)
+                if record is not None:
                     connection.execute(
                         "INSERT OR REPLACE INTO records VALUES "
-                        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        self._record_row(record, relpath, priority),
+                        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        self._record_row(record, relpath),
                     )
                     records_written += 1
                 connection.execute(

@@ -6,52 +6,23 @@ provides:
 
 * :class:`repro.traffic.packet.Packet` — the unit moved through gateways,
   links and routers.
-* :mod:`repro.traffic.sources` — payload generators (constant bit rate,
-  Poisson, on/off, Markov-modulated) that push packets into a sink such as a
-  padding gateway or a router port.
-* :mod:`repro.traffic.schedule` — payload-rate and load schedules, including
-  the piecewise-constant two-rate schedule of the evaluation and the diurnal
-  profile used for the 24-hour campus/WAN experiments (Figure 8).
-* :mod:`repro.traffic.traces` — synthetic trace generation and simple
-  (de)serialisation, standing in for the packet captures the authors took
-  with a hardware analyser.
+* :mod:`repro.traffic.sources` — payload generators (constant bit rate and
+  Poisson) that push packets into a sink such as a padding gateway or a
+  router port.
+* :mod:`repro.traffic.schedule` — payload-rate and load schedules: a constant
+  rate and the diurnal profile used for the 24-hour campus/WAN experiments
+  (Figure 8).
 """
 
 from repro.traffic.packet import Packet, PacketKind
-from repro.traffic.schedule import (
-    ConstantRateSchedule,
-    DiurnalProfile,
-    PiecewiseConstantSchedule,
-    TwoRateSchedule,
-)
-from repro.traffic.sources import (
-    CBRSource,
-    MMPPSource,
-    OnOffSource,
-    PoissonSource,
-    TraceReplaySource,
-)
-from repro.traffic.traces import (
-    generate_piat_trace,
-    load_trace,
-    save_trace,
-    trace_from_timestamps,
-)
+from repro.traffic.schedule import ConstantRateSchedule, DiurnalProfile
+from repro.traffic.sources import CBRSource, PoissonSource
 
 __all__ = [
     "Packet",
     "PacketKind",
     "CBRSource",
     "PoissonSource",
-    "OnOffSource",
-    "MMPPSource",
-    "TraceReplaySource",
     "ConstantRateSchedule",
-    "TwoRateSchedule",
-    "PiecewiseConstantSchedule",
     "DiurnalProfile",
-    "generate_piat_trace",
-    "save_trace",
-    "load_trace",
-    "trace_from_timestamps",
 ]

@@ -1,8 +1,8 @@
 """Rate schedules: how a source's rate evolves over simulated time.
 
 Schedules answer one question — "what is the target rate at time ``t``?" —
-and are shared by payload sources (which alternate between the paper's low
-and high rates) and by cross-traffic generators (which follow the diurnal
+and are shared by payload sources (which emit at one of the paper's
+constant rates) and by cross-traffic generators (which follow the diurnal
 load profile used to model the campus/WAN experiments of Figure 8).
 """
 
@@ -53,106 +53,6 @@ class ConstantRateSchedule(RateSchedule):
         if end <= start:
             raise TrafficError("schedule averaging window must have end > start")
         return self.rate_pps
-
-
-class PiecewiseConstantSchedule(RateSchedule):
-    """A rate that changes at explicit breakpoints.
-
-    Parameters
-    ----------
-    breakpoints:
-        Sequence of ``(start_time, rate_pps)`` pairs sorted by start time.
-        The first start time must be 0; each rate holds until the next
-        breakpoint (the last one holds forever).
-    """
-
-    def __init__(self, breakpoints: Sequence[Tuple[float, float]]) -> None:
-        if not breakpoints:
-            raise TrafficError("need at least one (time, rate) breakpoint")
-        times = [float(t) for t, _ in breakpoints]
-        rates = [float(r) for _, r in breakpoints]
-        if times[0] != 0.0:
-            raise TrafficError("the first breakpoint must start at time 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise TrafficError("breakpoint times must be strictly increasing")
-        if any(r < 0.0 for r in rates):
-            raise TrafficError("rates must be >= 0")
-        self._times = np.asarray(times)
-        self._rates = np.asarray(rates)
-
-    def rate_at(self, time: float) -> float:
-        if time < 0.0:
-            raise TrafficError(f"time must be >= 0, got {time!r}")
-        index = int(np.searchsorted(self._times, time, side="right") - 1)
-        return float(self._rates[index])
-
-    @property
-    def breakpoints(self) -> Sequence[Tuple[float, float]]:
-        """The ``(time, rate)`` pairs defining this schedule."""
-        return list(zip(self._times.tolist(), self._rates.tolist()))
-
-    def mean_rate(self, start: float, end: float, resolution: int = 1000) -> float:
-        if end <= start:
-            raise TrafficError("schedule averaging window must have end > start")
-        # Exact time-weighted average over the window.
-        edges = np.concatenate(([start], self._times[(self._times > start) & (self._times < end)], [end]))
-        total = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            total += self.rate_at(left) * (right - left)
-        return total / (end - start)
-
-
-class TwoRateSchedule(PiecewiseConstantSchedule):
-    """The evaluation's payload model: the rate is either low or high.
-
-    The paper treats each classification experiment as "the payload has been
-    at one of the two rates for the whole observation window".  For
-    end-to-end simulations we alternate between the two rates in blocks of
-    ``dwell_time`` seconds, which produces labelled observation windows for
-    training and testing.
-
-    Parameters
-    ----------
-    low_rate_pps, high_rate_pps:
-        The two payload rates (10 and 40 pps in the paper).
-    dwell_time:
-        Length of each constant-rate block in seconds.
-    start_high:
-        Whether the first block uses the high rate.
-    total_time:
-        Horizon for which to materialise blocks.
-    """
-
-    def __init__(
-        self,
-        low_rate_pps: float,
-        high_rate_pps: float,
-        dwell_time: float,
-        total_time: float,
-        start_high: bool = False,
-    ) -> None:
-        if low_rate_pps <= 0 or high_rate_pps <= 0:
-            raise TrafficError("both payload rates must be positive")
-        if high_rate_pps <= low_rate_pps:
-            raise TrafficError("high rate must exceed low rate")
-        if dwell_time <= 0 or total_time <= 0:
-            raise TrafficError("dwell_time and total_time must be positive")
-        self.low_rate_pps = float(low_rate_pps)
-        self.high_rate_pps = float(high_rate_pps)
-        self.dwell_time = float(dwell_time)
-        self.total_time = float(total_time)
-        breakpoints = []
-        t = 0.0
-        high = start_high
-        while t < total_time:
-            breakpoints.append((t, high_rate_pps if high else low_rate_pps))
-            t += dwell_time
-            high = not high
-        super().__init__(breakpoints)
-
-    def label_at(self, time: float) -> str:
-        """Return ``"high"`` or ``"low"`` — the ground-truth class at ``time``."""
-        return "high" if self.rate_at(time) == self.high_rate_pps else "low"
 
 
 class DiurnalProfile(RateSchedule):
@@ -224,7 +124,5 @@ class DiurnalProfile(RateSchedule):
 __all__ = [
     "RateSchedule",
     "ConstantRateSchedule",
-    "PiecewiseConstantSchedule",
-    "TwoRateSchedule",
     "DiurnalProfile",
 ]

@@ -7,10 +7,9 @@ port.  Sources are built on :class:`repro.sim.process.PeriodicProcess`, so
 they start/stop cleanly and draw their inter-packet gaps from their own named
 random stream.
 
-The evaluation uses constant-rate payload (the sender emits at 10 or 40 pps);
-Poisson, on/off and Markov-modulated sources are provided both as cross
-traffic generators and to exercise the padding system under burstier inputs
-than the paper's, which several tests and ablation benchmarks do.
+The evaluation uses constant-rate payload (the sender emits at 10 or 40 pps)
+and Poisson cross traffic at the routers; a Poisson payload source also
+exercises the padding system under burstier input than the paper's.
 
 RNG-stream contract (relied on by the vectorized simulation kernel)
 -------------------------------------------------------------------
@@ -24,14 +23,12 @@ itself serves its gaps from a :class:`repro.sim.random.ChunkedDraws` buffer
 when the rate is constant — same bit stream, a fraction of the numpy call
 overhead.  Gaps are floored at ``1e-12`` (an exponential draw can round to
 0.0) and that floor is part of the contract — the kernel applies the
-identical ``np.maximum``.  Sources with mutable modulation state (on/off,
-MMPP) interleave phase draws with gap draws on one stream and therefore
-cannot be buffered or vectorized; they always run on the event engine.
+identical ``np.maximum``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -203,190 +200,9 @@ class PoissonSource(TrafficSource):
         super()._emit(now)
 
 
-class OnOffSource(TrafficSource):
-    """Exponential on/off source.
-
-    During an ON period the source emits Poisson traffic at ``peak`` rate
-    (the configured ``rate`` is interpreted as the peak); OFF periods are
-    silent.  ON and OFF durations are exponentially distributed with the
-    given means.  The long-run average rate is
-    ``peak * mean_on / (mean_on + mean_off)``.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        sink: PacketSink,
-        rate: RateLike,
-        mean_on_time: float,
-        mean_off_time: float,
-        rng: Optional[np.random.Generator] = None,
-        **kwargs,
-    ) -> None:
-        if mean_on_time <= 0 or mean_off_time <= 0:
-            raise TrafficError("mean on/off durations must be positive")
-        super().__init__(simulator, sink, rate, rng=rng, **kwargs)
-        self.mean_on_time = float(mean_on_time)
-        self.mean_off_time = float(mean_off_time)
-        self._on = True
-        self._phase_ends_at = 0.0
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        self._on = True
-        self._phase_ends_at = self.simulator.now + float(self.rng.exponential(self.mean_on_time))
-        super().start(initial_delay=initial_delay)
-
-    def _advance_phases(self, now: float) -> None:
-        while now >= self._phase_ends_at:
-            self._on = not self._on
-            mean = self.mean_on_time if self._on else self.mean_off_time
-            self._phase_ends_at += float(self.rng.exponential(mean))
-
-    def _next_interval(self) -> float:
-        rate = self._current_rate()
-        if rate == 0.0:
-            return max(self.mean_off_time, 1e-6)
-        return max(float(self.rng.exponential(1.0 / rate)), 1e-12)
-
-    def _emit(self, now: float) -> None:
-        self._advance_phases(now)
-        if not self._on or self._current_rate() == 0.0:
-            return
-        super()._emit(now)
-
-    @property
-    def average_rate_pps(self) -> float:
-        """Long-run mean emission rate implied by the on/off parameters."""
-        peak = self.schedule.rate_at(0.0)
-        duty = self.mean_on_time / (self.mean_on_time + self.mean_off_time)
-        return peak * duty
-
-
-class MMPPSource(TrafficSource):
-    """Markov-modulated Poisson process with an arbitrary number of states.
-
-    Parameters
-    ----------
-    state_rates_pps:
-        Emission rate in each modulating state.
-    mean_holding_times:
-        Mean sojourn time (seconds, exponential) in each state.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        sink: PacketSink,
-        state_rates_pps: Sequence[float],
-        mean_holding_times: Sequence[float],
-        rng: Optional[np.random.Generator] = None,
-        **kwargs,
-    ) -> None:
-        rates = [float(r) for r in state_rates_pps]
-        holds = [float(h) for h in mean_holding_times]
-        if len(rates) != len(holds) or len(rates) < 2:
-            raise TrafficError("need >= 2 states with matching rates and holding times")
-        if any(r < 0 for r in rates) or any(h <= 0 for h in holds):
-            raise TrafficError("state rates must be >= 0 and holding times > 0")
-        super().__init__(simulator, sink, rates[0], rng=rng, **kwargs)
-        self.state_rates = rates
-        self.mean_holding_times = holds
-        self._state = 0
-        self._state_ends_at = 0.0
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        self._state = 0
-        self._state_ends_at = self.simulator.now + float(
-            self.rng.exponential(self.mean_holding_times[0])
-        )
-        super().start(initial_delay=initial_delay)
-
-    def _advance_state(self, now: float) -> None:
-        while now >= self._state_ends_at:
-            self._state = (self._state + 1) % len(self.state_rates)
-            self._state_ends_at += float(
-                self.rng.exponential(self.mean_holding_times[self._state])
-            )
-
-    def _current_rate(self) -> float:
-        self._advance_state(self.simulator.now)
-        return self.state_rates[self._state]
-
-    def _next_interval(self) -> float:
-        rate = self._current_rate()
-        if rate == 0.0:
-            return max(min(self.mean_holding_times), 1e-3)
-        return max(float(self.rng.exponential(1.0 / rate)), 1e-12)
-
-    def _emit(self, now: float) -> None:
-        if self._current_rate() == 0.0:
-            return
-        super()._emit(now)
-
-    @property
-    def state(self) -> int:
-        """Index of the current modulating state."""
-        return self._state
-
-
-class TraceReplaySource:
-    """Replays a recorded list of packet emission timestamps.
-
-    Stands in for feeding captured traces (e.g. from the paper's hardware
-    analyser) back into the padding system.  Timestamps are absolute
-    simulation times and must be non-decreasing.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        sink: PacketSink,
-        timestamps: Sequence[float],
-        flow_id: str = "trace",
-        kind: PacketKind = PacketKind.PAYLOAD,
-        packet_size_bytes: int = PAPER_PACKET_SIZE_BYTES,
-    ) -> None:
-        stamps = np.asarray(list(timestamps), dtype=float)
-        if stamps.size and np.any(np.diff(stamps) < 0.0):
-            raise TrafficError("trace timestamps must be non-decreasing")
-        if stamps.size and stamps[0] < simulator.now:
-            raise TrafficError("trace starts in the simulator's past")
-        self.simulator = simulator
-        self.sink = sink
-        self.timestamps = stamps
-        self.flow_id = flow_id
-        self.kind = kind
-        self.packet_size_bytes = int(packet_size_bytes)
-        self.packets_emitted = 0
-        self._started = False
-
-    def start(self) -> None:
-        """Schedule every packet in the trace (one bulk heap insertion)."""
-        if self._started:
-            raise TrafficError("trace replay can only be started once")
-        self._started = True
-        stamps = [float(s) for s in self.timestamps]
-        self.simulator.schedule_batch(
-            stamps, self._emit, args_list=[(s,) for s in stamps]
-        )
-
-    def _emit(self, when: float) -> None:
-        packet = Packet(
-            created_at=when,
-            kind=self.kind,
-            size_bytes=self.packet_size_bytes,
-            flow_id=self.flow_id,
-        )
-        self.packets_emitted += 1
-        self.sink(packet)
-
-
 __all__ = [
     "PacketSink",
     "TrafficSource",
     "CBRSource",
     "PoissonSource",
-    "OnOffSource",
-    "MMPPSource",
-    "TraceReplaySource",
 ]

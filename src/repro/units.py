@@ -20,10 +20,6 @@ ArrayLike = Union[float, int, np.ndarray]
 
 #: Number of seconds in one millisecond.
 MS = 1e-3
-#: Number of seconds in one microsecond.
-US = 1e-6
-#: Number of seconds in one minute.
-MINUTE = 60.0
 #: Number of seconds in one hour.
 HOUR = 3600.0
 #: Number of seconds in one day (the Figure 8 observation window).
@@ -38,50 +34,6 @@ PAPER_HIGH_RATE_PPS = 40.0
 #: Constant packet size assumed by the paper (bytes).  The adversary cannot
 #: use packet sizes, but link serialisation delays still need one.
 PAPER_PACKET_SIZE_BYTES = 512
-
-
-def ms_to_s(value_ms: ArrayLike) -> ArrayLike:
-    """Convert milliseconds to seconds."""
-    return np.multiply(value_ms, MS)
-
-
-def s_to_ms(value_s: ArrayLike) -> ArrayLike:
-    """Convert seconds to milliseconds."""
-    return np.divide(value_s, MS)
-
-
-def us_to_s(value_us: ArrayLike) -> ArrayLike:
-    """Convert microseconds to seconds."""
-    return np.multiply(value_us, US)
-
-
-def s_to_us(value_s: ArrayLike) -> ArrayLike:
-    """Convert seconds to microseconds."""
-    return np.divide(value_s, US)
-
-
-def pps_to_interval(rate_pps: ArrayLike) -> ArrayLike:
-    """Convert a packet rate (packets/second) to a mean inter-arrival time.
-
-    Raises
-    ------
-    ValueError
-        If ``rate_pps`` is not strictly positive.
-    """
-    rate = np.asarray(rate_pps, dtype=float)
-    if np.any(rate <= 0.0):
-        raise ValueError(f"packet rate must be > 0, got {rate_pps!r}")
-    result = 1.0 / rate
-    return float(result) if np.isscalar(rate_pps) or result.ndim == 0 else result
-
-
-def interval_to_pps(interval_s: ArrayLike) -> ArrayLike:
-    """Convert a mean inter-arrival time (seconds) to a packet rate."""
-    interval = np.asarray(interval_s, dtype=float)
-    if np.any(interval <= 0.0):
-        raise ValueError(f"interval must be > 0, got {interval_s!r}")
-    result = 1.0 / interval
-    return float(result) if np.isscalar(interval_s) or result.ndim == 0 else result
 
 
 def bytes_to_bits(num_bytes: ArrayLike) -> ArrayLike:
@@ -133,20 +85,12 @@ def rate_for_utilization(target_utilization: float, packet_size_bytes: float, li
 
 __all__ = [
     "MS",
-    "US",
-    "MINUTE",
     "HOUR",
     "DAY",
     "PAPER_TIMER_INTERVAL_S",
     "PAPER_LOW_RATE_PPS",
     "PAPER_HIGH_RATE_PPS",
     "PAPER_PACKET_SIZE_BYTES",
-    "ms_to_s",
-    "s_to_ms",
-    "us_to_s",
-    "s_to_us",
-    "pps_to_interval",
-    "interval_to_pps",
     "bytes_to_bits",
     "serialization_delay",
     "utilization",

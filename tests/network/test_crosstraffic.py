@@ -8,11 +8,10 @@ from repro.exceptions import NetworkError
 from repro.network import (
     CountingSink,
     CrossTrafficGenerator,
-    attach_diurnal_cross_traffic,
     cross_traffic_rate_for_utilization,
 )
-from repro.traffic import PacketKind
-from repro.units import HOUR, serialization_delay
+from repro.traffic import DiurnalProfile, PacketKind
+from repro.units import HOUR, rate_for_utilization, serialization_delay
 
 
 class TestRateForUtilization:
@@ -56,17 +55,6 @@ class TestCrossTrafficGenerator:
         simulator.run(until=20.0)
         assert sink.total / 20.0 == pytest.approx(1000.0, rel=0.05)
 
-    def test_cbr_process(self, simulator, rng):
-        sink = CountingSink(keep_packets=False)
-        generator = CrossTrafficGenerator(simulator, sink, rate=100.0, rng=rng, process="cbr")
-        generator.start()
-        simulator.run(until=5.0)
-        assert sink.total == pytest.approx(500, abs=2)
-
-    def test_unknown_process_rejected(self, simulator, rng):
-        with pytest.raises(NetworkError):
-            CrossTrafficGenerator(simulator, CountingSink(), rate=10.0, rng=rng, process="pareto")
-
 
 class TestDiurnalCrossTraffic:
     # The default profile peaks mid-afternoon, which would require simulating
@@ -75,16 +63,16 @@ class TestDiurnalCrossTraffic:
     # few simulated hours at a low packet rate.
     COMPRESSED_PROFILE = [0.1, 0.1, 1.0, 1.0] + [0.1] * 20
 
+    def diurnal_generator(self, simulator, sink, peak_utilization, link_rate_bps, rng):
+        # The compressed profile peaks at a multiplier of 1.0, so the base
+        # rate is the peak hour's rate.
+        peak_rate = rate_for_utilization(peak_utilization, 512, link_rate_bps)
+        profile = DiurnalProfile(peak_rate, hourly_multipliers=self.COMPRESSED_PROFILE)
+        return CrossTrafficGenerator(simulator, sink, rate=profile, rng=rng)
+
     def test_quiet_vs_busy_hour_difference(self, simulator, rng):
         sink = CountingSink(keep_packets=False)
-        generator = attach_diurnal_cross_traffic(
-            simulator,
-            sink,
-            peak_utilization=0.25,
-            link_rate_bps=1e6,
-            rng=rng,
-            hourly_multipliers=self.COMPRESSED_PROFILE,
-        )
+        generator = self.diurnal_generator(simulator, sink, 0.25, 1e6, rng)
         generator.start()
         # Quiet hour: 00:00-01:00 (multiplier 0.1 throughout)
         simulator.run(until=1.0 * HOUR)
@@ -99,14 +87,7 @@ class TestDiurnalCrossTraffic:
 
     def test_peak_utilization_not_exceeded_substantially(self, simulator, rng):
         sink = CountingSink(keep_packets=False)
-        generator = attach_diurnal_cross_traffic(
-            simulator,
-            sink,
-            peak_utilization=0.2,
-            link_rate_bps=1e6,
-            rng=rng,
-            hourly_multipliers=self.COMPRESSED_PROFILE,
-        )
+        generator = self.diurnal_generator(simulator, sink, 0.2, 1e6, rng)
         generator.start()
         simulator.run(until=2.0 * HOUR)
         before = sink.total
@@ -116,16 +97,3 @@ class TestDiurnalCrossTraffic:
         implied_utilization = peak_rate * float(serialization_delay(512, 1e6))
         assert implied_utilization < 0.25
         assert implied_utilization > 0.1
-
-    def test_validation(self, simulator, rng):
-        with pytest.raises(NetworkError):
-            attach_diurnal_cross_traffic(simulator, CountingSink(), 1.5, 50e6, rng=rng)
-        with pytest.raises(NetworkError):
-            attach_diurnal_cross_traffic(
-                simulator,
-                CountingSink(),
-                0.3,
-                50e6,
-                rng=rng,
-                hourly_multipliers=[0.0] * 24,
-            )

@@ -146,27 +146,17 @@ class TestMultiSeedCli:
 
 
 class TestCacheCommand:
-    def test_compact_drops_duplicates_and_migrates_legacy(self, tmp_path, capsys):
-        # Write a legacy flat store by hand, then a sharded record on top.
-        import json
+    def test_compact_drops_duplicates(self, tmp_path, capsys):
+        from repro.runner import ResultsStore
 
-        from repro.runner import SCHEMA_VERSION, ResultsStore
-
-        tmp_path.joinpath("results.jsonl").write_text(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "fingerprint": "old1", "config": {}, "result": {"x": 1}}
-            )
-            + "\n"
-        )
         store = ResultsStore(tmp_path)
+        store.put("old1", {}, {"x": 1})
         store.put("abc", {}, {"x": 1})
         store.put("abc", {}, {"x": 2})
         assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "cache compact:" in out
-        assert "1 superseded" in out
-        assert "1 legacy" in out
-        assert not (tmp_path / "results.jsonl").exists()
+        assert "cache compact: 2 records kept, 1 superseded duplicates dropped" in out
+        assert len(store.shard_path("abc").read_text().splitlines()) == 1
         reopened = ResultsStore(tmp_path)
         assert reopened.get("abc")["result"] == {"x": 2}
         assert reopened.get("old1")["result"] == {"x": 1}
@@ -183,7 +173,7 @@ class TestCommittedFixture:
     """The mini store committed for the CI warm-cache smoke job stays warm."""
 
     def test_fixture_exists(self):
-        assert (FIXTURE_CACHE / "results.jsonl").is_file()
+        assert len(list(FIXTURE_CACHE.glob("??/*.jsonl"))) == 9
 
     def test_smoke_sweep_is_fully_cached_by_the_fixture(self, tmp_path, capsys):
         """Every cell of the default smoke grid must hit the committed cache.
@@ -191,7 +181,7 @@ class TestCommittedFixture:
         If this fails after an intentional change to the smoke preset, the
         cell schema or the scenario defaults, regenerate the fixture:
 
-            rm tests/fixtures/sweep_cache/results.jsonl
+            rm -r tests/fixtures/sweep_cache/??
             PYTHONPATH=src python -m repro sweep --preset smoke --jobs 2 \
                 --cache-dir tests/fixtures/sweep_cache
         """

@@ -27,7 +27,6 @@ from repro.experiments.base import (
     ScenarioConfig,
     resolve_kernel_mode,
     simulate_gateway_capture,
-    vectorized_capture_eligible,
 )
 from repro.padding.disturbance import InterruptDisturbance
 from repro.padding.gateway import _MIN_TX_SPACING_S
@@ -144,15 +143,22 @@ class TestKernelSelection:
 
     def test_networked_paths_are_eligible(self):
         scenario = ScenarioConfig(n_hops=3, cross_utilization=0.2)
-        assert vectorized_capture_eligible(scenario, with_network=True)
-        assert vectorized_capture_eligible(scenario, with_network=False)
+        for with_network in (True, False):
+            intervals = simulate_gateway_capture(
+                scenario, 10.0, 50, RandomStreams(1), "low", with_network, kernel="vectorized"
+            )
+            assert intervals.shape == (50,)
 
     def test_disturbance_subclasses_are_ineligible(self):
         class CustomDisturbance(InterruptDisturbance):
             pass
 
         scenario = ScenarioConfig(disturbance=CustomDisturbance())
-        assert not vectorized_capture_eligible(scenario, with_network=False)
+        with pytest.raises(ConfigurationError, match="CustomDisturbance"):
+            simulate_gateway_capture(
+                scenario, 10.0, 50, RandomStreams(1), "low", with_network=False,
+                kernel="vectorized",
+            )
 
     def test_strict_vectorized_raises_when_ineligible(self):
         class CustomDisturbance(InterruptDisturbance):

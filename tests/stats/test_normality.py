@@ -54,12 +54,15 @@ class TestNormalityReport:
         assert not report.looks_normal
         assert report.skewness > 1.0
 
-    def test_simulated_padded_piat_looks_normal(self, rng):
-        """The Gaussian PIAT assumption of Section 4 holds for our traces."""
-        from repro.traffic import generate_piat_trace
+    def test_simulated_padded_piat_looks_normal(self):
+        """The Gaussian PIAT assumption of Section 4 holds for our captures."""
+        from repro.experiments.base import ScenarioConfig, simulate_gateway_capture
+        from repro.sim.random import RandomStreams
 
-        trace = generate_piat_trace(5000, mean_interval=0.01, jitter_std=3e-5, rng=rng)
-        report = normality_report(trace.intervals())
+        intervals = simulate_gateway_capture(
+            ScenarioConfig(), 10.0, 5000, RandomStreams(0), "low", with_network=False
+        )
+        report = normality_report(intervals)
         assert report.looks_normal
 
     def test_non_finite_rejected(self):

@@ -44,7 +44,7 @@ class TestBuild:
         stats = StoreIndex(fixture_store).refresh()
         assert stats.total_records == 9
         assert stats.records_written == 9
-        assert stats.files_scanned == 1  # the legacy flat file
+        assert stats.files_scanned == 9  # one shard per record
         assert stats.files_removed == 0
         # Every fixture record is a smoke-preset cell of a registered figure.
         assert stats.total_labels == 9
@@ -120,7 +120,7 @@ class TestIncrementality:
         store = ResultsStore(fixture_store)
         store.put("aa" + "0" * 62, {"seed": 7}, RESULT)
         stats = index.refresh()
-        assert stats.files_scanned == 1  # the new shard, not the legacy file
+        assert stats.files_scanned == 1  # the new shard, not the fixture's
         assert stats.records_written == 1
         assert stats.total_records == 10
 
@@ -138,7 +138,7 @@ class TestIncrementality:
 
 
 class TestPrecedence:
-    def test_shard_record_shadows_legacy_record(self, fixture_store):
+    def test_newest_shard_record_wins(self, fixture_store):
         store = ResultsStore(fixture_store)
         fingerprint = next(iter(store.fingerprints()))
         newer = dict(RESULT, measured_variance_ratio=99.0)
@@ -149,20 +149,6 @@ class TestPrecedence:
             index, "SELECT variance_ratio FROM records WHERE fingerprint = ?", fingerprint
         )
         assert rows == [(99.0,)]
-
-    def test_removing_the_shadowing_shard_resurfaces_the_legacy_record(self, fixture_store):
-        store = ResultsStore(fixture_store)
-        fingerprint = next(iter(store.fingerprints()))
-        original = store.get(fingerprint)["result"]["measured_variance_ratio"]
-        store.put(fingerprint, {"seed": 2003}, dict(RESULT, measured_variance_ratio=99.0))
-        index = StoreIndex(fixture_store)
-        index.refresh()
-        store.shard_path(fingerprint).unlink()
-        index.refresh()
-        rows = query_one(
-            index, "SELECT variance_ratio FROM records WHERE fingerprint = ?", fingerprint
-        )
-        assert rows == [(original,)]
 
     def test_shard_lines_for_other_fingerprints_are_ignored(self, tmp_path):
         store = ResultsStore(tmp_path)

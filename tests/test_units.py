@@ -1,4 +1,4 @@
-"""Tests for unit conversion helpers."""
+"""Tests for the unit constants and link-math helpers."""
 
 from __future__ import annotations
 
@@ -11,41 +11,14 @@ from repro import units
 
 
 class TestTimeConversions:
-    def test_ms_round_trip(self):
-        assert units.s_to_ms(units.ms_to_s(10.0)) == pytest.approx(10.0)
-
-    def test_us_round_trip(self):
-        assert units.s_to_us(units.us_to_s(250.0)) == pytest.approx(250.0)
-
     def test_paper_constants(self):
         assert units.PAPER_TIMER_INTERVAL_S == pytest.approx(0.010)
         assert units.PAPER_LOW_RATE_PPS == 10.0
         assert units.PAPER_HIGH_RATE_PPS == 40.0
 
     def test_array_inputs(self):
-        out = units.ms_to_s(np.array([1.0, 10.0]))
-        assert np.allclose(out, [0.001, 0.010])
-
-
-class TestRateConversions:
-    def test_pps_to_interval(self):
-        assert units.pps_to_interval(100.0) == pytest.approx(0.01)
-
-    def test_interval_to_pps(self):
-        assert units.interval_to_pps(0.01) == pytest.approx(100.0)
-
-    def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            units.pps_to_interval(0.0)
-
-    def test_zero_interval_rejected(self):
-        with pytest.raises(ValueError):
-            units.interval_to_pps(0.0)
-
-    @given(rate=st.floats(min_value=1e-3, max_value=1e6))
-    @settings(max_examples=100, deadline=None)
-    def test_rate_interval_round_trip(self, rate):
-        assert units.interval_to_pps(units.pps_to_interval(rate)) == pytest.approx(rate)
+        out = units.serialization_delay(np.array([512, 1024]), 10e6)
+        assert np.allclose(out, [4.096e-4, 8.192e-4])
 
 
 class TestLinkMath:

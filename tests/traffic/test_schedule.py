@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TrafficError
-from repro.traffic import (
-    ConstantRateSchedule,
-    DiurnalProfile,
-    PiecewiseConstantSchedule,
-    TwoRateSchedule,
-)
+from repro.traffic import ConstantRateSchedule, DiurnalProfile
 from repro.units import HOUR
 
 
@@ -30,73 +25,6 @@ class TestConstantRateSchedule:
     def test_mean_rate_bad_window(self):
         with pytest.raises(TrafficError):
             ConstantRateSchedule(1.0).mean_rate(5.0, 5.0)
-
-
-class TestPiecewiseConstantSchedule:
-    def test_rates_switch_at_breakpoints(self):
-        schedule = PiecewiseConstantSchedule([(0.0, 10.0), (5.0, 40.0), (10.0, 10.0)])
-        assert schedule.rate_at(0.0) == 10.0
-        assert schedule.rate_at(4.999) == 10.0
-        assert schedule.rate_at(5.0) == 40.0
-        assert schedule.rate_at(9.999) == 40.0
-        assert schedule.rate_at(10.0) == 10.0
-        assert schedule.rate_at(1e5) == 10.0
-
-    def test_mean_rate_is_time_weighted(self):
-        schedule = PiecewiseConstantSchedule([(0.0, 10.0), (5.0, 40.0)])
-        assert schedule.mean_rate(0.0, 10.0) == pytest.approx(25.0)
-
-    def test_first_breakpoint_must_be_zero(self):
-        with pytest.raises(TrafficError):
-            PiecewiseConstantSchedule([(1.0, 10.0)])
-
-    def test_breakpoints_strictly_increasing(self):
-        with pytest.raises(TrafficError):
-            PiecewiseConstantSchedule([(0.0, 10.0), (0.0, 20.0)])
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(TrafficError):
-            PiecewiseConstantSchedule([(0.0, -5.0)])
-
-    def test_negative_time_rejected(self):
-        schedule = PiecewiseConstantSchedule([(0.0, 10.0)])
-        with pytest.raises(TrafficError):
-            schedule.rate_at(-1.0)
-
-    def test_empty_breakpoints_rejected(self):
-        with pytest.raises(TrafficError):
-            PiecewiseConstantSchedule([])
-
-    def test_breakpoints_property(self):
-        pairs = [(0.0, 10.0), (5.0, 40.0)]
-        assert PiecewiseConstantSchedule(pairs).breakpoints == pairs
-
-
-class TestTwoRateSchedule:
-    def test_alternates_between_rates(self):
-        schedule = TwoRateSchedule(10.0, 40.0, dwell_time=60.0, total_time=240.0)
-        assert schedule.rate_at(0.0) == 10.0
-        assert schedule.rate_at(60.0) == 40.0
-        assert schedule.rate_at(120.0) == 10.0
-        assert schedule.rate_at(180.0) == 40.0
-
-    def test_start_high(self):
-        schedule = TwoRateSchedule(10.0, 40.0, dwell_time=60.0, total_time=120.0, start_high=True)
-        assert schedule.rate_at(0.0) == 40.0
-        assert schedule.label_at(0.0) == "high"
-        assert schedule.label_at(61.0) == "low"
-
-    def test_validation(self):
-        with pytest.raises(TrafficError):
-            TwoRateSchedule(40.0, 10.0, dwell_time=1.0, total_time=10.0)
-        with pytest.raises(TrafficError):
-            TwoRateSchedule(0.0, 40.0, dwell_time=1.0, total_time=10.0)
-        with pytest.raises(TrafficError):
-            TwoRateSchedule(10.0, 40.0, dwell_time=0.0, total_time=10.0)
-
-    def test_mean_rate_over_full_cycle(self):
-        schedule = TwoRateSchedule(10.0, 40.0, dwell_time=50.0, total_time=200.0)
-        assert schedule.mean_rate(0.0, 200.0) == pytest.approx(25.0)
 
 
 class TestDiurnalProfile:
