@@ -485,6 +485,28 @@ def _time_population(seed: int, n_flows: int, repeats: int) -> float:
     return elapsed
 
 
+def _time_bootstrap(seed: int, calls: int, sample_size: int, repeats: int) -> float:
+    """Aggregation-layer throughput: ``calls`` per-point bootstrap intervals.
+
+    Each call is one :func:`repro.runner.grid.mean_and_ci` at 95 % over a
+    ``sample_size``-seed sample under its own point key — the shape of every ``--ci``
+    band a report or ``repro serve`` renders.  There is no second
+    implementation to divide by within the run, so the metric is a trend
+    line, not a gate.
+    """
+    from repro.runner.grid import mean_and_ci
+    from repro.sim.random import seeded_rng
+
+    samples = seeded_rng(seed).uniform(size=(calls, sample_size))
+
+    def one_run() -> None:
+        for i, values in enumerate(samples):
+            mean_and_ci(values, f"bench/bootstrap/{i}", 0.95)
+
+    elapsed, _ = _best_of(repeats, one_run)
+    return elapsed
+
+
 def run_bench(
     pr: str,
     *,
@@ -532,6 +554,8 @@ def run_bench(
     queue_seconds, queue_cells = _time_queue(seed)
     population_flows = 2000
     population_seconds = _time_population(seed, population_flows, repeats)
+    bootstrap_cis, bootstrap_sample_size = 324, 4
+    bootstrap_seconds = _time_bootstrap(seed, bootstrap_cis, bootstrap_sample_size, repeats)
 
     low = float(np.var(vectorized_captures["low"], ddof=1))
     high = float(np.var(vectorized_captures["high"], ddof=1))
@@ -559,6 +583,7 @@ def run_bench(
         "dispatch_overhead_seconds": max(0.0, process_seconds - serial_seconds),
         "queue_cells_per_sec": queue_cells / queue_seconds,
         "population_flows_per_sec": population_flows / population_seconds,
+        "bootstrap_cis_per_sec": bootstrap_cis / bootstrap_seconds,
     }
     notes = {
         "capture_intervals": capture_intervals,
@@ -574,6 +599,8 @@ def run_bench(
         "queue_seconds": queue_seconds,
         "population_flows": population_flows,
         "population_seconds": population_seconds,
+        "bootstrap_cis": bootstrap_cis,
+        "bootstrap_sample_size": bootstrap_sample_size,
         "captures_identical": identical,
         "analytic_crosscheck": {
             "measured_variance_ratio": measured_r,

@@ -23,6 +23,11 @@ from repro.sim.random import derived_rng
 #: interval, byte for byte, whether or not the caller threads a generator.
 DEFAULT_BOOTSTRAP_SEED = 0
 
+#: Most resample indices drawn at once (one row per resample).  Bounds the
+#: index and resample matrices to a few MB each, however large the sample; a
+#: sample longer than this draws one row per block.
+MAX_BLOCK_INDICES = 2**20
+
 
 @dataclass(frozen=True)
 class BootstrapResult:
@@ -46,7 +51,7 @@ class BootstrapResult:
 
 def bootstrap_ci(
     sample: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
+    statistic: Callable[..., np.ndarray] = np.mean,
     confidence: float = 0.95,
     resamples: int = 2000,
     rng: Optional[np.random.Generator] = None,
@@ -59,7 +64,10 @@ def bootstrap_ci(
     sample:
         Observed values (at least 2).
     statistic:
-        Function mapping an array to a scalar; defaults to the mean.
+        A numpy-style reducer; defaults to the mean.  It maps the sample to
+        a scalar, and must accept ``axis=`` like ``np.mean``: the resamples
+        are reduced as the rows of a matrix with ``statistic(matrix,
+        axis=1)``, which must return one value per row.
     confidence:
         Two-sided coverage, e.g. 0.95.
     resamples:
@@ -71,6 +79,15 @@ def bootstrap_ci(
     seed:
         Seed of the fallback resampling stream; ignored when ``rng`` is
         given.
+
+    Notes
+    -----
+    The resample indices come from one ``(resamples, n)`` draw (in row
+    blocks of at most :data:`MAX_BLOCK_INDICES` indices).  For ``n <
+    2**32`` ``Generator.integers`` consumes its bit generator in 32-bit
+    words whose unused half is kept in the generator state, so the indices,
+    the interval and the generator's state afterwards are bit-identical to
+    drawing one resample of ``n`` indices at a time.
     """
     array = np.asarray(list(sample), dtype=float)
     if array.ndim != 1 or array.size < 2:
@@ -80,11 +97,13 @@ def bootstrap_ci(
     if resamples < 10:
         raise AnalysisError("use at least 10 bootstrap resamples")
     generator = rng if rng is not None else derived_rng("bootstrap", seed)
-    estimates = np.empty(resamples)
     n = array.size
-    for i in range(resamples):
-        indices = generator.integers(0, n, size=n)
-        estimates[i] = float(statistic(array[indices]))
+    rows_per_block = max(1, MAX_BLOCK_INDICES // n)
+    estimates = np.empty(resamples)
+    for start in range(0, resamples, rows_per_block):
+        rows = min(rows_per_block, resamples - start)
+        indices = generator.integers(0, n, size=(rows, n))
+        estimates[start : start + rows] = _row_statistic(statistic, array[indices], rows)
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return BootstrapResult(
@@ -94,6 +113,25 @@ def bootstrap_ci(
         confidence=confidence,
         resamples=resamples,
     )
+
+
+def _row_statistic(
+    statistic: Callable[..., np.ndarray], matrix: np.ndarray, rows: int
+) -> np.ndarray:
+    """``statistic`` of every row of ``matrix``, checked to be one value per row."""
+    name = getattr(statistic, "__name__", repr(statistic))
+    try:
+        values = np.asarray(statistic(matrix, axis=1), dtype=float)
+    except TypeError as error:
+        raise AnalysisError(
+            f"bootstrap statistic {name} must accept axis= like a numpy reducer"
+        ) from error
+    if values.shape != (rows,):
+        raise AnalysisError(
+            f"bootstrap statistic {name} returned shape {values.shape} for {rows} "
+            f"resample rows; it must reduce axis=1 to shape ({rows},)"
+        )
+    return values
 
 
 def bootstrap_detection_rate_ci(

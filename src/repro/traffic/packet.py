@@ -96,18 +96,5 @@ class Packet:
             raise ValueError("packet has not been received yet")
         return self.received_at - self.created_at
 
-    def copy_for_retransmission(self, at_time: float) -> "Packet":
-        """Create a fresh packet with the same classification attributes.
-
-        The copy receives a new ``packet_id`` so identity-based
-        bookkeeping stays correct.
-        """
-        return Packet(
-            created_at=at_time,
-            kind=self.kind,
-            size_bytes=self.size_bytes,
-            flow_id=self.flow_id,
-        )
-
 
 __all__ = ["Packet", "PacketKind"]

@@ -9,8 +9,8 @@ Two contracts are pinned against fixtures under
   orphans the committed ``sweep_cache`` fixture.  Building cells runs no
   simulation, so even the paper presets are cheap.
 * ``<experiment>-<case>.txt`` — the rendered ``to_text()`` report of every
-  experiment at every preset, and at ``smoke`` over two seeds with 95 %
-  bootstrap intervals.
+  experiment at every preset, and at ``smoke`` over two and over three seeds
+  with 95 % bootstrap intervals.
 
 A mismatch fails with a unified diff of golden against actual.  Regenerate
 the fixtures only after an intentional change to what the experiments
@@ -33,6 +33,8 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "report_goldens"
 
 SEED = 2003
 MULTI_SEEDS = (2003, 2004)
+#: An odd seed count: bootstrap resamples over three values, not just two.
+ODD_SEEDS = (2003, 2004, 2005)
 CONFIDENCE = 0.95
 
 #: (fixture stem, experiment, preset, seeds, confidence) per golden report.
@@ -47,6 +49,9 @@ def report_cases() -> List[Case]:
             cases.append((f"{name}-{preset}", name, preset, None, None))
         cases.append(
             (f"{name}-smoke-seeds2003-2004-ci95", name, "smoke", MULTI_SEEDS, CONFIDENCE)
+        )
+        cases.append(
+            (f"{name}-smoke-seeds2003-2005-ci95", name, "smoke", ODD_SEEDS, CONFIDENCE)
         )
     return cases
 

@@ -178,6 +178,7 @@ class TestRunBench:
             "dispatch_overhead_seconds",
             "queue_cells_per_sec",
             "population_flows_per_sec",
+            "bootstrap_cis_per_sec",
         } == set(result.metrics)
         # dispatch_overhead is clamped at 0.0 (a loaded machine can time the
         # pool under the serial loop); everything else must be positive.
@@ -187,6 +188,12 @@ class TestRunBench:
             if name != "dispatch_overhead_seconds"
         )
         assert result.metrics["dispatch_overhead_seconds"] >= 0.0
+
+    def test_bootstrap_throughput_is_an_ungated_trend_metric(self, result):
+        assert result.notes["bootstrap_cis"] == 324
+        assert result.notes["bootstrap_sample_size"] == 4
+        assert metric_direction("bootstrap_cis_per_sec") == "higher"
+        assert "bootstrap_cis_per_sec" not in RATIO_METRICS
 
     def test_serial_beats_the_pool_on_the_dispatch_grid(self, result):
         # The tentpole claim of the serial backend: on a trivial grid the
