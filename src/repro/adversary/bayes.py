@@ -147,8 +147,24 @@ class KDEBayesClassifier:
         return best_label
 
     def classify_many(self, feature_values: Iterable[float]) -> List[str]:
-        """Classify a sequence of feature values."""
-        return [self.classify(value) for value in feature_values]
+        """Classify a sequence of feature values, equal to :meth:`classify` on each.
+
+        One ``logpdf`` call per class scores every value; ``argmax`` over the
+        sorted labels keeps the first maximum, the same tie-break as
+        :meth:`classify`.  Scores that are not finite take the per-value loop,
+        whose comparisons order them differently.
+        """
+        self._require_fitted()
+        values = np.fromiter(feature_values, dtype=float)
+        scores = np.array(
+            [
+                self._densities[label].logpdf(values) + self._log_priors[label]
+                for label in self._labels
+            ]
+        )
+        if not np.all(np.isfinite(scores)):
+            return [self.classify(value) for value in values]
+        return [self._labels[i] for i in np.argmax(scores, axis=0)]
 
     def decision_threshold(self, label_a: str, label_b: str, grid_points: int = 4001) -> float:
         """Approximate the boundary ``d`` where the two posteriors cross (Figure 2).

@@ -2,8 +2,9 @@
 
 This module turns raw PIAT captures into the numbers the paper plots:
 
-1. :func:`slice_into_samples` — cut a long captured interval stream into
-   samples of the size the adversary will use at run time.
+1. :func:`slice_into_samples` — cut a long captured interval stream into a
+   ``(samples, n)`` view of samples of the size the adversary will use at run
+   time.
 2. :func:`extract_feature_samples` — summarise each sample with a feature
    statistic, producing the labelled training/test feature values.
 3. :func:`train_classifier` — off-line training of the KDE Bayes classifier.
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.adversary.bayes import KDEBayesClassifier
 from repro.adversary.features import FeatureStatistic
@@ -31,8 +33,12 @@ def slice_into_samples(
     sample_size: int,
     max_samples: Optional[int] = None,
     overlap: bool = False,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Cut an interval stream into consecutive samples of ``sample_size``.
+
+    Returns a ``(samples, sample_size)`` view of the capture, one sample per
+    row, without copying it: a ``reshape`` for non-overlapping samples, a
+    read-only strided sliding window for overlapping ones.
 
     Parameters
     ----------
@@ -58,14 +64,13 @@ def slice_into_samples(
             f"capture holds {array.size} intervals; cannot form a sample of {sample_size}"
         )
     step = sample_size // 2 if overlap and sample_size > 1 else sample_size
-    samples = []
-    start = 0
-    while start + sample_size <= array.size:
-        samples.append(array[start : start + sample_size])
-        start += step
-        if max_samples is not None and len(samples) >= max_samples:
-            break
-    return samples
+    count = (array.size - sample_size) // step + 1
+    if max_samples is not None:
+        # At least one sample, even for a cap below 1, as the slicing loop cut.
+        count = min(count, max(max_samples, 1))
+    if step == sample_size:
+        return array[: count * sample_size].reshape(count, sample_size)
+    return sliding_window_view(array, sample_size)[::step][:count]
 
 
 def extract_feature_samples(
@@ -77,7 +82,7 @@ def extract_feature_samples(
 ) -> np.ndarray:
     """Feature values of consecutive samples cut from an interval stream."""
     samples = slice_into_samples(intervals, sample_size, max_samples=max_samples, overlap=overlap)
-    return np.array([feature.compute(sample) for sample in samples], dtype=float)
+    return feature.compute_rows(samples)
 
 
 def train_classifier(
@@ -173,8 +178,7 @@ def empirical_detection_rate(
         )
         if values.size == 0:
             raise AnalysisError(f"class {label!r}: no test samples could be formed")
-        for value in values:
-            predicted = classifier.classify(float(value))
+        for predicted in classifier.classify_many(values):
             confusion[label][predicted] = confusion[label].get(predicted, 0) + 1
             correct_flags.append(predicted == label)
     per_class = {}

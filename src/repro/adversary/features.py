@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import AnalysisError
 from repro.stats.descriptive import sample_mean, sample_variance
-from repro.stats.entropy import moddemeijer_entropy
+from repro.stats.entropy import moddemeijer_entropy, moddemeijer_entropy_rows
 from repro.units import PAPER_TIMER_INTERVAL_S
 
 
@@ -32,16 +32,38 @@ class FeatureStatistic:
         """Value of the statistic on the given sample."""
         raise NotImplementedError
 
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        """Values of the statistic on each row of a ``(samples, n)`` matrix.
+
+        Bit-identical to :meth:`compute` applied row by row, which is what
+        this default does; features whose reduction along ``axis=1`` matches
+        their 1-D reduction override it.
+        """
+        return np.array([self.compute(row) for row in samples], dtype=float)
+
     def _validate(self, intervals: np.ndarray) -> np.ndarray:
         array = np.asarray(intervals, dtype=float)
         if array.ndim != 1:
             raise AnalysisError(f"feature {self.name!r} expects a 1-D sample")
-        if array.size < self.min_sample_size:
+        self._check_size(array.size)
+        return array
+
+    def _validate_rows(self, samples: np.ndarray) -> np.ndarray:
+        """A finite ``(samples, n)`` matrix, checked once for all of its rows."""
+        matrix = np.asarray(samples, dtype=float)
+        if matrix.ndim != 2:
+            raise AnalysisError(f"feature {self.name!r} expects a (samples, n) matrix")
+        self._check_size(matrix.shape[1])
+        if not np.all(np.isfinite(matrix)):
+            raise AnalysisError(f"feature {self.name!r} received non-finite values")
+        return matrix
+
+    def _check_size(self, size: int) -> None:
+        if size < self.min_sample_size:
             raise AnalysisError(
                 f"feature {self.name!r} needs at least {self.min_sample_size} intervals, "
-                f"got {array.size}"
+                f"got {size}"
             )
-        return array
 
     def __call__(self, intervals: np.ndarray) -> float:
         return self.compute(intervals)
@@ -59,6 +81,9 @@ class MeanFeature(FeatureStatistic):
     def compute(self, intervals: np.ndarray) -> float:
         return sample_mean(self._validate(intervals))
 
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        return np.mean(self._validate_rows(samples), axis=1)
+
 
 class VarianceFeature(FeatureStatistic):
     """Unbiased sample variance of the PIAT sample (equation (19))."""
@@ -68,6 +93,9 @@ class VarianceFeature(FeatureStatistic):
 
     def compute(self, intervals: np.ndarray) -> float:
         return sample_variance(self._validate(intervals))
+
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        return np.var(self._validate_rows(samples), axis=1, ddof=1)
 
 
 class EntropyFeature(FeatureStatistic):
@@ -95,6 +123,9 @@ class EntropyFeature(FeatureStatistic):
 
     def compute(self, intervals: np.ndarray) -> float:
         return moddemeijer_entropy(self._validate(intervals), self.bin_width)
+
+    def compute_rows(self, samples: np.ndarray) -> np.ndarray:
+        return moddemeijer_entropy_rows(self._validate_rows(samples), self.bin_width)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"EntropyFeature(bin_width={self.bin_width!r})"

@@ -81,7 +81,6 @@ class Fig6Result:
     empirical_detection_rate: Dict[str, Dict[float, float]]
     theoretical_detection_rate: Dict[str, Dict[float, float]]
     variance_ratios: Dict[float, float]
-    measured_utilizations: Dict[float, float]
     empirical_ci: Optional[Dict[str, Dict[float, Tuple[float, float]]]] = None
     n_seeds: int = 1
     confidence: Optional[float] = None
@@ -195,10 +194,6 @@ class Fig6Experiment(ExperimentShell):
                 for name in DEFAULT_FEATURES
             },
             variance_ratios=ratios,
-            # The padded stream's rate never changes, so the realised padded +
-            # cross load equals the target by construction; record it for the
-            # report anyway (useful when a caller overrides the link rate).
-            measured_utilizations={u: u for u in config.utilizations},
             empirical_ci=rates.ci,
             n_seeds=len(seeds),
             confidence=rates.confidence,

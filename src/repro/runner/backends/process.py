@@ -6,6 +6,9 @@ behaviour stays pinned by the existing runner tests:
 
 * at most ``jobs`` tasks in flight, submitted via ``apply_async`` so a
   per-attempt clock starts the moment a task is handed to a worker;
+* the loop wakes as soon as a task finishes: each submission's completion
+  callback puts the task's index on the pool's queue, and the loop blocks on
+  that queue for at most one poll interval, the cadence of the timeout scan;
 * a task still running past ``timeout`` is charged an attempt; because a
   stuck worker cannot be reclaimed cooperatively, the whole pool is
   recycled — innocent in-flight tasks are requeued *at no retry cost* and
@@ -21,9 +24,11 @@ one-worker pool — the same inline path the runner always took.
 from __future__ import annotations
 
 import multiprocessing
+import queue as queue_module
 import sys
 import time
 from collections import deque
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -51,12 +56,17 @@ def default_mp_context() -> str:
     return "fork" if sys.platform == "linux" else "spawn"
 
 
+def _put_index(finished: queue_module.SimpleQueue, index: int, _result: object) -> None:
+    """Completion callback (success or error): wake the loop with the task's index."""
+    finished.put(index)
+
+
 class ProcessBackend(ExecutionBackend):
     """Pool-based execution with per-attempt timeouts and pool recycling."""
 
     name = "process"
 
-    #: Seconds between polls of outstanding pool results.
+    #: Longest wait for a task to finish between two timeout scans.
     _POLL_INTERVAL = 0.02
 
     def __init__(
@@ -96,32 +106,40 @@ class ProcessBackend(ExecutionBackend):
         while queue:
             workers = min(self.jobs, len(queue))
             pool = context.Pool(processes=workers)
+            # One queue per pool, so a recycled pool leaves no stale wake-ups:
+            # every index on it is a task in flight in this pool.
+            finished: queue_module.SimpleQueue = queue_module.SimpleQueue()
             recycle_pool = False
             try:
                 in_flight: Dict[int, Tuple] = {}  # index -> (async result, started, task)
                 while queue or in_flight:
                     while queue and len(in_flight) < workers:
                         index, task = queue.popleft()
+                        wake = partial(_put_index, finished, index)
                         in_flight[index] = (
-                            pool.apply_async(execute_task, (task,)),
+                            pool.apply_async(
+                                execute_task, (task,), callback=wake, error_callback=wake
+                            ),
                             time.monotonic(),
                             task,
                         )
-                    progressed = False
-                    for index in [i for i, (a, _, _) in in_flight.items() if a.ready()]:
-                        async_result, _, task = in_flight.pop(index)
+                    try:
+                        done = finished.get(timeout=self._POLL_INTERVAL)
+                    except queue_module.Empty:
+                        pass
+                    else:
+                        async_result, _, task = in_flight.pop(done)
                         outcome = async_result.get()
-                        progressed = True
                         if (
                             isinstance(outcome, TaskFailure)
-                            and attempts[index] < max_attempts
+                            and attempts[done] < max_attempts
                         ):
-                            attempts[index] += 1
+                            attempts[done] += 1
                             self._report(
                                 f"{outcome.unit} {outcome.key}: failed, retrying "
-                                f"(attempt {attempts[index]}/{max_attempts})"
+                                f"(attempt {attempts[done]}/{max_attempts})"
                             )
-                            queue.append((index, task))
+                            queue.append((done, task))
                         else:
                             yield outcome
                     if self.timeout is not None:
@@ -162,8 +180,6 @@ class ProcessBackend(ExecutionBackend):
                             in_flight.clear()
                             recycle_pool = True
                             break
-                    if not progressed and in_flight:
-                        time.sleep(self._POLL_INTERVAL)
                 if not recycle_pool:
                     return
             finally:

@@ -16,6 +16,10 @@ import numpy as np
 
 from repro.exceptions import AnalysisError
 
+#: Most kernel evaluations held in memory at once by :meth:`GaussianKDE.logpdf`
+#: (``2**20`` float64 values, 8 MB per temporary).
+MAX_BLOCK_KERNELS = 2**20
+
 
 def silverman_bandwidth(sample: np.ndarray) -> float:
     """Silverman's rule-of-thumb bandwidth.
@@ -103,14 +107,19 @@ class GaussianKDE:
         bandwidths away from every training point.
         """
         points = np.atleast_1d(np.asarray(x, dtype=float))
-        z = (points[:, None] - self.sample[None, :]) / self.bandwidth
-        log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.bandwidth)
-        # log mean exp over the kernel axis
-        max_log = np.max(log_kernels, axis=1, keepdims=True)
-        log_density = (
-            max_log[:, 0]
-            + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
-        )
+        # Each point is one row of kernels, reduced on its own, so evaluating
+        # the points in blocks bounds memory without changing any value.
+        rows_per_block = max(1, MAX_BLOCK_KERNELS // self.sample.size)
+        log_density = np.empty(points.size)
+        for start in range(0, points.size, rows_per_block):
+            block = slice(start, start + rows_per_block)
+            z = (points[block, None] - self.sample[None, :]) / self.bandwidth
+            log_kernels = -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.bandwidth)
+            # log mean exp over the kernel axis
+            max_log = np.max(log_kernels, axis=1, keepdims=True)
+            log_density[block] = max_log[:, 0] + np.log(
+                np.mean(np.exp(log_kernels - max_log), axis=1)
+            )
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(log_density[0])
         return log_density

@@ -131,3 +131,72 @@ class TestDecisionThreshold:
         classifier = KDEBayesClassifier().fit(make_training(rng))
         with pytest.raises(TrainingError):
             classifier.decision_threshold("a", "zzz")
+
+
+def reference_classify(classifier, values):
+    """The per-value loop: the oracle ``classify_many`` must equal."""
+    return [classifier.classify(float(value)) for value in values]
+
+
+class TestClassifyManyMatchesTheLoop:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_random_classes_and_priors(self, seed, n_classes):
+        rng = np.random.default_rng(seed)
+        labels = [str(rate) for rate in rng.choice(200, size=n_classes, replace=False)]
+        training = {
+            label: rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 2), size=rng.integers(2, 60))
+            for label in labels
+        }
+        weights = rng.uniform(0.2, 1.0, size=n_classes)
+        priors = dict(zip(labels, weights / weights.sum()))
+        classifier = KDEBayesClassifier().fit(training, priors=priors)
+        values = np.concatenate([rng.normal(0.0, 3.0, size=500), [-40.0, 0.0, 40.0]])
+        assert classifier.classify_many(values) == reference_classify(classifier, values)
+
+    def test_exact_ties_go_to_the_smallest_label(self, rng):
+        values = rng.normal(0.0, 1.0, size=200)
+        classifier = KDEBayesClassifier().fit({"y": values, "x": values.copy()})
+        grid = np.linspace(-5.0, 5.0, 101)
+        assert classifier.classify_many(grid) == ["x"] * grid.size
+        assert classifier.classify_many(grid) == reference_classify(classifier, grid)
+
+    def test_ties_under_unequal_priors(self, rng):
+        shared = rng.normal(0.0, 1.0, size=100)
+        classifier = KDEBayesClassifier().fit(
+            {"b": shared, "a": shared.copy(), "c": rng.normal(3.0, 1.0, size=100)},
+            priors={"a": 0.25, "b": 0.25, "c": 0.5},
+        )
+        grid = np.linspace(-4.0, 7.0, 221)
+        predicted = classifier.classify_many(grid)
+        assert predicted == reference_classify(classifier, grid)
+        assert set(predicted) == {"a", "c"}
+
+    def test_labels_sort_as_strings(self, rng):
+        classifier = KDEBayesClassifier().fit(
+            {"9": rng.normal(0.0, 1.0, size=50), "10": rng.normal(1.0, 1.0, size=50)}
+        )
+        grid = np.linspace(-3.0, 4.0, 57)
+        assert classifier.classify_many(grid) == reference_classify(classifier, grid)
+
+    def test_non_finite_scores_take_the_loop(self, rng):
+        # A tiny bandwidth overflows z**2 far away, which makes that class's
+        # score NaN; the loop skips it, argmax would pick it.
+        classifier = KDEBayesClassifier().fit(
+            {"a": 1e-140 * rng.normal(size=50), "b": rng.normal(size=50)}
+        )
+        values = np.array([1e20, 0.0, 1e-141])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = classifier.log_posteriors(1e20)
+            assert np.isnan(scores["a"]) and np.isfinite(scores["b"])
+            predicted = classifier.classify_many(values)
+            assert predicted == reference_classify(classifier, values)
+        assert predicted[0] == "b"
+
+    def test_accepts_any_iterable(self, rng):
+        classifier = KDEBayesClassifier().fit(make_training(rng))
+        values = [0.1, 2.4, 4.9]
+        assert classifier.classify_many(iter(values)) == reference_classify(classifier, values)
+        assert classifier.classify_many([]) == []
+        with pytest.raises(NotFittedError):
+            KDEBayesClassifier().classify_many([0.0])

@@ -10,6 +10,8 @@ runner's wiring.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -160,6 +162,24 @@ class TestProcessBackendSemantics:
         outcomes = list(ProcessBackend(jobs=2).execute(self._tasks(3)))
         assert len(outcomes) == 3
         assert not any(isinstance(o, TaskFailure) for o in outcomes)
+
+    @pytest.mark.parametrize("jobs, n_tasks", [(2, 4), (4, 8)])
+    def test_pool_wakes_when_a_task_finishes(self, monkeypatch, jobs, n_tasks):
+        """Completions wake the loop; the poll interval only paces timeout scans.
+
+        With a 5 s poll interval, a loop that sleeps whenever no task is ready
+        needs at least 10 s for 4 tasks on 2 workers (two rounds of sleeps),
+        and a single lost wake-up costs 5 s.  More workers than cores stress
+        the hand-off between the pool's callback thread and the loop.
+        """
+        monkeypatch.setattr(ProcessBackend, "_POLL_INTERVAL", 5.0)
+        tasks = self._tasks(n_tasks)
+        started = time.monotonic()
+        outcomes = list(ProcessBackend(jobs=jobs).execute(tasks))
+        elapsed = time.monotonic() - started
+        assert not any(isinstance(o, TaskFailure) for o in outcomes)
+        assert sorted(o.key for o in outcomes) == sorted(cell.key for _, cell, _ in tasks)
+        assert elapsed < 4.0
 
     def test_empty_task_list_is_a_noop(self):
         assert list(ProcessBackend(jobs=2).execute([])) == []

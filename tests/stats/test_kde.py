@@ -69,6 +69,18 @@ class TestGaussianKDE:
         assert isinstance(kde.pdf(0.0), float)
         assert kde.pdf(np.zeros(3)).shape == (3,)
 
+    @pytest.mark.parametrize("max_block", [1, 7, 100, 2**20])
+    def test_blocked_logpdf_equals_one_point_at_a_time(self, rng, monkeypatch, max_block):
+        import repro.stats.kde as kde_module
+
+        kde = GaussianKDE(rng.normal(size=30))
+        xs = np.concatenate([rng.normal(0.0, 3.0, size=250), [1e3, -1e3]])
+        expected = np.array([kde.logpdf(float(x)) for x in xs])
+        monkeypatch.setattr(kde_module, "MAX_BLOCK_KERNELS", max_block)
+        result = kde.logpdf(xs)
+        np.testing.assert_array_equal(result.view(np.int64), expected.view(np.int64))
+        assert kde.logpdf(np.empty(0)).shape == (0,)
+
     def test_cdf_monotone_and_bounded(self, rng):
         kde = GaussianKDE(rng.normal(size=300))
         xs = np.linspace(-4, 4, 41)
