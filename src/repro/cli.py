@@ -391,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "action",
         choices=("compact", "stats", "index"),
-        help="compact: drop superseded duplicate records from the shard "
-        "files (also refreshes an existing sqlite index); stats: report "
+        help="compact: drop superseded duplicate records and legacy capture "
+        "records from the shard files (also refreshes an existing sqlite "
+        "index); stats: report "
         "record/shard counts, store size and schema versions; index: build "
         "or incrementally refresh "
         "the store's sqlite query index (index.sqlite, used by 'repro serve')",

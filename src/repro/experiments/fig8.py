@@ -17,10 +17,10 @@ preserves the quantity the analysis actually depends on (``sigma_net^2`` per
 hour) and is the documented substitution for the missing physical testbed.
 
 In hybrid mode the hourly cells are **two-level**: the hour only changes the
-analytic network noise, so all of a network's hours share one cacheable
-gateway capture (:mod:`repro.runner.capture`) — one gateway simulation per
-(network, seed) instead of one per (network, hour, seed), and a warm store
-performs none at all.  This also mirrors the paper's testbed, where the same
+analytic network noise, so all of a network's hours share one gateway
+capture (:mod:`repro.runner.capture`) — at most one gateway simulation per
+(network, seed) in each process instead of one per (network, hour, seed),
+and a warm store performs none at all.  This also mirrors the paper's testbed, where the same
 physical padded stream was observed all day: hours differ by the network
 conditions, not by the gateway's behaviour.  Every hour still fans out
 across the sweep runner's worker pool and is cached by content hash.
@@ -209,9 +209,9 @@ class Fig8Experiment(ExperimentShell):
 
         In hybrid mode the points of one network share a gateway capture:
         their seed offsets are per-network (the hour only changes the
-        analytic noise), and ``shared_capture`` lets the runner factor the
-        event simulation out into one cacheable
-        :class:`~repro.runner.capture.CaptureSpec` per (network, seed).  The
+        analytic noise), and ``shared_capture`` factors the gateway
+        simulation out into one :class:`~repro.runner.capture.CaptureSpec`
+        per (network, seed).  The
         network-noise streams stay salted per (network, hour) via
         ``noise_offsets``, so hourly grid points share the gateway but draw
         statistically independent noise — as a physical testbed would.  In

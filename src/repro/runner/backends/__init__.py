@@ -14,17 +14,13 @@ from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.runner.backends.base import (
-    FORKED_CAPTURES,
     ExecutionBackend,
     ProgressFn,
-    Task,
     TaskFailure,
     TaskOutcome,
     available_cpu_count,
     execute_task,
     resolve_jobs,
-    task_key,
-    task_unit,
 )
 from repro.runner.backends.process import ProcessBackend, default_mp_context
 from repro.runner.backends.queue import (
@@ -112,12 +108,10 @@ __all__ = [
     "BACKEND_NAMES",
     "DrainReport",
     "ExecutionBackend",
-    "FORKED_CAPTURES",
     "ProcessBackend",
     "ProgressFn",
     "QueueBackend",
     "SerialBackend",
-    "Task",
     "TaskFailure",
     "TaskOutcome",
     "WorkQueue",
@@ -129,6 +123,4 @@ __all__ = [
     "execute_task",
     "resolve_jobs",
     "run_worker",
-    "task_key",
-    "task_unit",
 ]

@@ -1,14 +1,14 @@
 """The execution-backend contract shared by every sweep execution strategy.
 
 :class:`~repro.runner.runner.SweepRunner` owns *what* to run — cache
-partitioning, capture resolution, accounting, the single-writer store — and
-delegates *how* to run it to an :class:`ExecutionBackend`.  A backend receives
-a list of tasks (cells or gateway captures) and yields exactly one terminal
-outcome per task: the computed :class:`~repro.runner.cells.CellResult` /
-:class:`~repro.runner.capture.CaptureResult`, or a :class:`TaskFailure`
-marker naming the task that kept failing.  Outcomes may arrive in any order;
-the runner re-orders results by cell key, which is what makes every backend
-byte-identical at any worker count.
+partitioning, accounting, the single-writer store — and delegates *how* to
+run it to an :class:`ExecutionBackend`.  A backend receives a list of cells
+(two-level cells resolve their own gateway capture where they run, see
+:mod:`repro.runner.capture`) and yields exactly one terminal outcome per
+cell: the computed :class:`~repro.runner.cells.CellResult`, or a
+:class:`TaskFailure` marker naming the cell that kept failing.  Outcomes may
+arrive in any order; the runner re-orders results by cell key, which is what
+makes every backend byte-identical at any worker count.
 
 Three backends ship with the package:
 
@@ -28,30 +28,10 @@ import os
 import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, ClassVar, Iterator, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.runner.capture import CaptureResult, CaptureSpec
 from repro.runner.cells import CellResult, SweepCell
-
-#: A schedulable unit of work: a cell (with its optional injected capture
-#: result) or a gateway capture.  Plain tuples keep pool payloads boring
-#: and picklable.
-Task = Union[
-    Tuple[str, SweepCell, Optional[CaptureResult]],  # ("cell", cell, capture)
-    Tuple[str, CaptureSpec],  # ("capture", spec)
-]
-
-#: Resolved capture results shared with ``fork``-started workers by
-#: copy-on-write inheritance.  A capture payload is a few hundred KB of
-#: gateway intervals; embedding it in every child task would re-pickle it
-#: once per ``apply_async`` call (24× per network for fig8), so on fork
-#: platforms the task carries ``None`` and the worker looks the result up
-#: here.  Populated by :meth:`~repro.runner.runner.SweepRunner.run` before
-#: any pool is created and cleared when the run finishes.  ``spawn`` workers
-#: do not inherit parent globals, so there the capture stays embedded in the
-#: task.
-FORKED_CAPTURES: Dict[str, CaptureResult] = {}
 
 
 @dataclass(frozen=True)
@@ -67,49 +47,31 @@ class TaskFailure:
     key: str
     error: str
     worker_traceback: str
-    unit: str = "cell"
 
 
-#: What a backend yields, one per task.
-TaskOutcome = Union[CellResult, CaptureResult, TaskFailure]
+#: What a backend yields, one per cell.
+TaskOutcome = Union[CellResult, TaskFailure]
 
 
-def task_key(task: Task) -> str:
-    """The display key of a task's cell or capture spec."""
-    return task[1].key
-
-
-def task_unit(task: Task) -> str:
-    """Human-readable unit name for progress and failure lines."""
-    return "gateway capture" if task[0] == "capture" else "cell"
-
-
-def execute_task(task: Task) -> TaskOutcome:
-    """Run one task, converting any exception to a :class:`TaskFailure`.
+def execute_task(cell: SweepCell) -> TaskOutcome:
+    """Run one cell, converting any exception to a :class:`TaskFailure`.
 
     The entry point every backend funnels work through — pool workers,
-    queue workers and the in-process serial loop alike.  ``run_cell`` and
-    ``run_capture`` are resolved through :mod:`repro.runner.runner` at call
-    time (not import time) so a patched ``repro.runner.runner.run_cell``
-    — the seam the fault-injection tests use — is honoured by every
-    backend, including fork-started workers that inherit the patch.
+    queue workers and the in-process serial loop alike.  ``run_cell`` is
+    resolved through :mod:`repro.runner.runner` at call time (not import
+    time) so a patched ``repro.runner.runner.run_cell`` — the seam the
+    fault-injection tests use — is honoured by every backend, including
+    fork-started workers that inherit the patch.
     """
     import repro.runner.runner as _runner
 
-    kind = task[0]
     try:
-        if kind == "capture":
-            return _runner.run_capture(task[1])
-        cell, capture = task[1], task[2]
-        if capture is None and cell.capture is not None:
-            capture = FORKED_CAPTURES.get(cell.capture.fingerprint())
-        return _runner.run_cell(cell, capture=capture)
+        return _runner.run_cell(cell)
     except Exception as exc:
         return TaskFailure(
-            key=task_key(task),
+            key=cell.key,
             error=f"{type(exc).__name__}: {exc}",
             worker_traceback=traceback.format_exc(),
-            unit=task_unit(task),
         )
 
 
@@ -150,16 +112,16 @@ def resolve_jobs(jobs: Union[int, str]) -> int:
 
 
 class ExecutionBackend(ABC):
-    """How a list of sweep tasks gets executed.
+    """How a list of sweep cells gets executed.
 
     The contract:
 
-    * :meth:`execute` yields exactly one terminal outcome per task, in any
-      order.  A task that keeps failing yields a :class:`TaskFailure` rather
+    * :meth:`execute` yields exactly one terminal outcome per cell, in any
+      order.  A cell that keeps failing yields a :class:`TaskFailure` rather
       than raising, so the caller can name the cell in its error.
-    * Task execution goes through :func:`execute_task`: cells and captures
-      are pure functions of their configuration, so *where* they run never
-      changes the numbers — the determinism contract every backend inherits.
+    * Execution goes through :func:`execute_task`: cells are pure functions
+      of their configuration, so *where* they run never changes the numbers
+      — the determinism contract every backend inherits.
     * Backends never write the results store; the parent process is the
       single writer.
     """
@@ -168,8 +130,8 @@ class ExecutionBackend(ABC):
     name: ClassVar[str] = "abstract"
 
     @abstractmethod
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
-        """Run every task, yielding one terminal outcome per task."""
+    def execute(self, tasks: List[SweepCell]) -> Iterator[TaskOutcome]:
+        """Run every cell, yielding one terminal outcome per cell."""
 
     # Shared retry bookkeeping -------------------------------------------------
     def _report(self, line: str) -> None:
@@ -187,16 +149,12 @@ def validate_retries(retries: int) -> int:
 ProgressFn = Optional[Callable[[str], None]]
 
 __all__ = [
-    "FORKED_CAPTURES",
     "ExecutionBackend",
     "ProgressFn",
-    "Task",
     "TaskFailure",
     "TaskOutcome",
     "available_cpu_count",
     "execute_task",
     "resolve_jobs",
-    "task_key",
-    "task_unit",
     "validate_retries",
 ]

@@ -35,15 +35,13 @@ from repro.exceptions import ConfigurationError
 from repro.runner.backends.base import (
     ExecutionBackend,
     ProgressFn,
-    Task,
     TaskFailure,
     TaskOutcome,
     execute_task,
-    task_key,
-    task_unit,
     validate_retries,
 )
 from repro.runner.backends.serial import SerialBackend
+from repro.runner.cells import SweepCell
 
 
 def default_mp_context() -> str:
@@ -87,7 +85,7 @@ class ProcessBackend(ExecutionBackend):
         self._mp_context = mp_context if mp_context is not None else default_mp_context()
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
+    def execute(self, tasks: List[SweepCell]) -> Iterator[TaskOutcome]:
         if not tasks:
             return
         use_pool = self.timeout is not None or (self.jobs > 1 and len(tasks) > 1)
@@ -136,7 +134,7 @@ class ProcessBackend(ExecutionBackend):
                         ):
                             attempts[done] += 1
                             self._report(
-                                f"{outcome.unit} {outcome.key}: failed, retrying "
+                                f"cell {outcome.key}: failed, retrying "
                                 f"(attempt {attempts[done]}/{max_attempts})"
                             )
                             queue.append((done, task))
@@ -156,24 +154,22 @@ class ProcessBackend(ExecutionBackend):
                             # free and restart in the fresh pool.
                             for index in expired:
                                 _, _, task = in_flight.pop(index)
-                                unit = task_unit(task)
                                 if attempts[index] < max_attempts:
                                     attempts[index] += 1
                                     self._report(
-                                        f"{unit} {task_key(task)}: timed out after "
+                                        f"cell {task.key}: timed out after "
                                         f"{self.timeout:g}s, retrying "
                                         f"(attempt {attempts[index]}/{max_attempts})"
                                     )
                                     queue.append((index, task))
                                 else:
                                     yield TaskFailure(
-                                        key=task_key(task),
+                                        key=task.key,
                                         error=(
                                             f"timed out after {self.timeout:g}s "
                                             f"({max_attempts} attempt(s))"
                                         ),
                                         worker_traceback="(worker terminated on timeout)",
-                                        unit=unit,
                                     )
                             for index, (_, _, task) in in_flight.items():
                                 queue.append((index, task))

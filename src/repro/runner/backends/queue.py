@@ -52,24 +52,19 @@ from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends.base import (
     ExecutionBackend,
     ProgressFn,
-    Task,
     TaskFailure,
     TaskOutcome,
     execute_task,
     validate_retries,
 )
-from repro.runner.backends.codec import (
-    capture_from_config,
-    cell_from_config,
-    verify_fingerprint,
-)
+from repro.runner.backends.codec import cell_from_config, verify_fingerprint
 from repro.runner.backends.process import default_mp_context
-from repro.runner.capture import CaptureResult, CaptureSpec
 from repro.runner.cells import CellResult, SweepCell
 from repro.runner.store import ResultsStore
 
-#: Version of the queue entry / result-shard record layout.
-QUEUE_SCHEMA_VERSION = 1
+#: Version of the queue entry / result-shard record layout.  Version 2
+#: dropped the ``unit`` field: every entry is a cell.
+QUEUE_SCHEMA_VERSION = 2
 
 #: Directory name of the queue, under the results-store root.
 QUEUE_DIRNAME = "queue"
@@ -98,22 +93,10 @@ def default_worker_id() -> str:
     return f"{node or 'host'}-{os.getpid()}"
 
 
-def entry_from_task(task: Task, attempt: int = 1) -> Dict[str, Any]:
-    """The JSON queue entry for one task (cell or capture)."""
-    if task[0] == "capture":
-        spec = task[1]
-        return {
-            "schema": QUEUE_SCHEMA_VERSION,
-            "unit": "capture",
-            "key": spec.key,
-            "fingerprint": spec.fingerprint(),
-            "config": spec.config_dict(),
-            "attempt": attempt,
-        }
-    cell = task[1]
+def entry_from_task(cell: SweepCell, attempt: int = 1) -> Dict[str, Any]:
+    """The JSON queue entry for one cell."""
     return {
         "schema": QUEUE_SCHEMA_VERSION,
-        "unit": "cell",
         "key": cell.key,
         "fingerprint": cell.fingerprint(),
         "config": cell.config_dict(),
@@ -219,16 +202,6 @@ class WorkQueue:
                 continue
             return target
         return None
-
-    def release(self, lease_path: Path) -> None:
-        """Put a leased entry back in the queue (e.g. its capture isn't ready)."""
-        fingerprint, _ = self._parse_lease(lease_path)
-        if fingerprint is None:
-            return
-        try:
-            os.replace(lease_path, self.queued_dir / f"{fingerprint}.json")
-        except FileNotFoundError:
-            pass  # stolen from under us; the thief owns it now
 
     def requeue_stale(self, lease_timeout: float) -> int:
         """Requeue every lease held by a stale worker; returns the count."""
@@ -382,32 +355,22 @@ class _Heartbeat:
         self._queue.remove_heartbeat(self._worker_id)
 
 
-def _execute_entry(store: ResultsStore, entry: Dict[str, Any]) -> Tuple[Any, ...]:
+def _execute_entry(entry: Dict[str, Any]) -> Tuple[Any, ...]:
     """Rebuild and run one queue entry.
 
-    Returns ``("ok", outcome)``, ``("failed", error, worker_traceback)`` or
-    ``("wait",)`` when a child cell's gateway capture has not reached the
-    store yet (the entry is released back to the queue).
+    Returns ``("ok", outcome)`` or ``("failed", error, worker_traceback)``.
+    A two-level cell resolves its gateway capture in this worker process.
     """
     try:
-        if entry.get("unit") == "capture":
-            spec = capture_from_config(entry["key"], entry["config"])
-            task: Task = ("capture", spec)
-        else:
-            cell = cell_from_config(entry["key"], entry["config"])
-            capture_result = None
-            if cell.capture is not None:
-                capture_fp = cell.capture.fingerprint()
-                record = store.get(capture_fp, kind="capture")
-                if record is None:
-                    return ("wait",)
-                capture_result = CaptureResult.from_json_dict(
-                    cell.capture.key, capture_fp, record["result"]
-                )
-            task = ("cell", cell, capture_result)
+        if entry.get("schema") != QUEUE_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"queue entry schema {entry.get('schema')!r} is not the schema "
+                f"{QUEUE_SCHEMA_VERSION} this build executes"
+            )
+        cell = cell_from_config(entry["key"], entry["config"])
     except Exception as exc:
         return ("failed", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-    outcome = execute_task(task)
+    outcome = execute_task(cell)
     if isinstance(outcome, TaskFailure):
         return ("failed", outcome.error, outcome.worker_traceback)
     return ("ok", outcome)
@@ -434,8 +397,7 @@ def run_worker(
         raise ConfigurationError(f"poll_interval={poll_interval!r} must be positive")
     if lease_timeout <= 0.0:
         raise ConfigurationError(f"lease_timeout={lease_timeout!r} must be positive")
-    store = ResultsStore(store_root)
-    queue = WorkQueue(store.root)
+    queue = WorkQueue(ResultsStore(store_root).root)
     queue.ensure()
     wid = _WORKER_ID_BAD_CHARS.sub("-", worker_id or default_worker_id()).strip("-")
     if not wid:
@@ -454,20 +416,15 @@ def run_worker(
                     break
                 time.sleep(poll_interval)
                 continue
-            if _work_one_lease(store, queue, wid, lease, progress):
+            if _work_one_lease(queue, wid, lease, progress):
                 executed += 1
                 idle_since = time.monotonic()
-            else:
-                # The entry was released (capture not ready) or was corrupt;
-                # don't spin on it.
-                time.sleep(poll_interval)
     if progress is not None:
         progress(f"worker {wid}: executed {executed} task(s)")
     return executed
 
 
 def _work_one_lease(
-    store: ResultsStore,
     queue: WorkQueue,
     worker_id: str,
     lease: Path,
@@ -482,18 +439,9 @@ def _work_one_lease(
         # Stolen from under us, or corrupt beyond attribution: drop it.
         lease.unlink(missing_ok=True)
         return False
-    result = _execute_entry(store, entry)
-    if result[0] == "wait":
-        queue.release(lease)
-        if progress is not None:
-            progress(
-                f"worker {worker_id}: cell {entry.get('key')} waits for its "
-                f"gateway capture; requeued"
-            )
-        return False
+    result = _execute_entry(entry)
     record = {
         "schema": QUEUE_SCHEMA_VERSION,
-        "unit": entry.get("unit", "cell"),
         "key": entry.get("key"),
         "fingerprint": entry.get("fingerprint"),
         "attempt": entry.get("attempt", 1),
@@ -504,18 +452,15 @@ def _work_one_lease(
         record["result"] = outcome.to_json_dict()
         if progress is not None:
             progress(
-                f"worker {worker_id}: {entry.get('unit', 'cell')} "
-                f"{entry.get('key')} done in {outcome.elapsed_seconds:.2f}s"
+                f"worker {worker_id}: cell {entry.get('key')} done in "
+                f"{outcome.elapsed_seconds:.2f}s"
             )
     else:
         record["status"] = "failed"
         record["error"] = result[1]
         record["worker_traceback"] = result[2]
         if progress is not None:
-            progress(
-                f"worker {worker_id}: {entry.get('unit', 'cell')} "
-                f"{entry.get('key')} failed: {result[1]}"
-            )
+            progress(f"worker {worker_id}: cell {entry.get('key')} failed: {result[1]}")
     queue.append_result(worker_id, record)
     lease.unlink(missing_ok=True)
     return True
@@ -596,16 +541,10 @@ def merge_outcomes(
             if fingerprint not in pending:
                 continue  # duplicate (post-steal) or foreign record
             entry = pending[fingerprint]
-            unit = "gateway capture" if entry["unit"] == "capture" else "cell"
             if record.get("status") == "ok":
-                if entry["unit"] == "capture":
-                    outcome: TaskOutcome = CaptureResult.from_json_dict(
-                        entry["key"], fingerprint, record["result"], from_cache=False
-                    )
-                else:
-                    outcome = CellResult.from_json_dict(
-                        entry["key"], fingerprint, record["result"], from_cache=False
-                    )
+                outcome = CellResult.from_json_dict(
+                    entry["key"], fingerprint, record["result"], from_cache=False
+                )
                 pending.pop(fingerprint)
                 queue.discard_queued(fingerprint)
                 progressed = True
@@ -617,7 +556,7 @@ def merge_outcomes(
                     attempts[fingerprint] += 1
                     if progress is not None:
                         progress(
-                            f"{unit} {entry['key']}: failed, retrying "
+                            f"cell {entry['key']}: failed, retrying "
                             f"(attempt {attempts[fingerprint]}/{max_attempts})"
                         )
                     retry_entry = dict(entry)
@@ -631,7 +570,6 @@ def merge_outcomes(
                         key=entry["key"],
                         error=str(record.get("error", "worker failure")),
                         worker_traceback=str(record.get("worker_traceback", "")),
-                        unit=unit,
                     )
         if not pending:
             return
@@ -674,7 +612,7 @@ class QueueBackend(ExecutionBackend):
         if store is None:
             raise ConfigurationError(
                 "the queue backend needs a persistent results store; pass "
-                "--cache-dir (workers resolve shared captures through it)"
+                "--cache-dir (the work queue lives under its root)"
             )
         if spawn_workers and workers < 1:
             raise ConfigurationError(
@@ -694,7 +632,7 @@ class QueueBackend(ExecutionBackend):
         self._mp_context = mp_context
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
+    def execute(self, tasks: List[SweepCell]) -> Iterator[TaskOutcome]:
         if not tasks:
             return
         queue = WorkQueue(self.store.root)
@@ -736,15 +674,13 @@ class DrainReport:
     requested: int
     already_cached: int
     deduplicated: int
-    captures_computed: int
     cells_computed: int
     pending_remaining: int
 
     def __str__(self) -> str:
         return (
             f"{self.requested} pending entr(ies): {self.cells_computed} cells "
-            f"computed ({self.captures_computed} gateway captures), "
-            f"{self.already_cached} already cached, "
+            f"computed, {self.already_cached} already cached, "
             f"{self.deduplicated} duplicates, "
             f"{self.pending_remaining} left pending"
         )
@@ -765,9 +701,9 @@ def drain_pending(
     Closes the loop from ``POST /enqueue``: every pending line is
     fingerprint-verified (a line whose fingerprint does not hash from its
     config is refused loudly — it would poison the cache), already-cached
-    cells are skipped, and the rest are queued in two phases — shared
-    gateway captures first, then the cells that consume them — so a worker
-    never has to wait long for a parent capture.  With ``workers > 0`` local
+    cells are skipped, and the rest are queued as one batch; two-level cells
+    resolve their gateway capture in whichever worker runs them.  With
+    ``workers > 0`` local
     worker processes are spawned for the duration; with ``workers == 0`` the
     call relies on externally running ``repro worker`` processes (pass
     ``timeout`` so an empty fleet fails loudly instead of blocking forever).
@@ -793,15 +729,6 @@ def drain_pending(
             continue
         cells[fingerprint] = cell
 
-    captures: Dict[str, CaptureSpec] = {}
-    for cell in cells.values():
-        if cell.capture is None:
-            continue
-        capture_fp = cell.capture.fingerprint()
-        if capture_fp in captures or store.get(capture_fp, kind="capture") is not None:
-            continue
-        captures[capture_fp] = cell.capture
-
     pool = None
     if workers > 0:
         pool = LocalWorkerPool(
@@ -822,27 +749,12 @@ def drain_pending(
         spawn_workers=False,
         wait_timeout=timeout,
     )
-    captures_computed = cells_computed = 0
+    cells_computed = 0
     try:
-        capture_tasks: List[Task] = [("capture", spec) for spec in captures.values()]
-        for outcome in backend.execute(capture_tasks):
+        for outcome in backend.execute(list(cells.values())):
             if isinstance(outcome, TaskFailure):
                 raise SweepError(
-                    f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
-                    f"--- worker traceback ---\n{outcome.worker_traceback}"
-                )
-            store.put(
-                outcome.fingerprint,
-                captures[outcome.fingerprint].config_dict(),
-                outcome.to_json_dict(),
-                kind="capture",
-            )
-            captures_computed += 1
-        cell_tasks: List[Task] = [("cell", cell, None) for cell in cells.values()]
-        for outcome in backend.execute(cell_tasks):
-            if isinstance(outcome, TaskFailure):
-                raise SweepError(
-                    f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
+                    f"cell {outcome.key!r} failed: {outcome.error}\n"
                     f"--- worker traceback ---\n{outcome.worker_traceback}"
                 )
             store.put(
@@ -860,7 +772,6 @@ def drain_pending(
         requested=len(records),
         already_cached=already_cached,
         deduplicated=duplicates,
-        captures_computed=captures_computed,
         cells_computed=cells_computed,
         pending_remaining=remaining,
     )

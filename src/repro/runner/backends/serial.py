@@ -21,12 +21,12 @@ from typing import Iterator, List
 from repro.runner.backends.base import (
     ExecutionBackend,
     ProgressFn,
-    Task,
     TaskFailure,
     TaskOutcome,
     execute_task,
     validate_retries,
 )
+from repro.runner.cells import SweepCell
 
 
 class SerialBackend(ExecutionBackend):
@@ -38,7 +38,7 @@ class SerialBackend(ExecutionBackend):
         self.retries = validate_retries(retries)
         self._progress = progress
 
-    def execute(self, tasks: List[Task]) -> Iterator[TaskOutcome]:
+    def execute(self, tasks: List[SweepCell]) -> Iterator[TaskOutcome]:
         if not tasks:
             return
         attempts = {i: 1 for i in range(len(tasks))}
@@ -50,7 +50,7 @@ class SerialBackend(ExecutionBackend):
             if isinstance(outcome, TaskFailure) and attempts[index] < max_attempts:
                 attempts[index] += 1
                 self._report(
-                    f"{outcome.unit} {outcome.key}: failed, retrying "
+                    f"cell {outcome.key}: failed, retrying "
                     f"(attempt {attempts[index]}/{max_attempts})"
                 )
                 queue.append((index, task))

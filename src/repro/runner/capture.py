@@ -1,24 +1,26 @@
-"""Two-level sweep cells: a cacheable gateway capture feeding cheap children.
+"""Two-level sweep cells: a shared gateway capture feeding cheap children.
 
 In the ``hybrid`` collection mode the expensive part of a cell is the
-event-driven gateway simulation; the analytic (M/D/1) network noise applied
-afterwards costs microseconds.  Grids like Figure 8's 24-hour sweep evaluate
-the *same* gateway under many different network conditions, so re-simulating
-the gateway per grid point repeats identical work once per hour.
+gateway simulation; the analytic (M/D/1) network noise applied afterwards
+costs microseconds.  Grids like Figure 8's 24-hour sweep evaluate the *same*
+gateway under many different network conditions, so re-simulating the
+gateway per grid point repeats identical work once per hour.
 
 This module splits such cells in two:
 
-* :class:`CaptureSpec` — the *parent*: one event-simulated gateway capture
-  (both payload rates, both seed offsets), content-addressed by a fingerprint
-  over exactly the fields the gateway simulation reads (policy, payload
-  rates, disturbance, packet size, warmup, seed, offsets — **not** the hop
-  count, link rate or utilization, which only affect the analytic noise).
-  Capture results are cached in the :class:`~repro.runner.store.ResultsStore`
-  like any other record, so a warm store performs **zero** gateway
-  simulations.
+* :class:`CaptureSpec` — the *parent*: one gateway capture (both payload
+  rates, both seed offsets), content-addressed by a fingerprint over exactly
+  the fields the gateway simulation reads (policy, payload rates,
+  disturbance, packet size, warmup, seed, offsets — **not** the hop count,
+  link rate or utilization, which only affect the analytic noise).
+  Captures are never stored: :func:`resolve_capture` computes each one at
+  most once per process and keeps it in a small in-memory memo, because the
+  vectorized kernel recomputes a capture faster than the store could read
+  it back.
 * the *children* — ordinary :class:`~repro.runner.cells.SweepCell` objects
-  carrying a ``capture`` reference; executing one applies the per-scenario
-  network noise to the parent's intervals and mounts the attack.
+  carrying a ``capture`` reference; executing one resolves the parent,
+  applies the per-scenario network noise to its intervals and mounts the
+  attack.
 
 Determinism contract: a child cell produces **bit-identical** numbers to a
 self-contained hybrid cell with the same scenario, seed and seed offsets,
@@ -29,7 +31,7 @@ and the stream *name* only, never from creation order).
 
 from __future__ import annotations
 
-import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -133,59 +135,27 @@ class CaptureSpec:
 class CaptureResult:
     """The gateway intervals produced by one executed :class:`CaptureSpec`.
 
-    ``intervals`` maps seed offset → class label → gateway-egress PIATs.  The
-    JSON payload is a few hundred kilobytes for figure-sized captures — far
-    larger than a cell result, but amortised over every child that shares it.
+    ``intervals`` maps seed offset → class label → gateway-egress PIATs.
     """
 
     key: str
-    fingerprint: str
     intervals: Dict[str, Dict[str, np.ndarray]]
-    elapsed_seconds: float = 0.0
-    from_cache: bool = False
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-able payload for the results store."""
-        return {
-            "intervals": {
-                offset: {label: [float(v) for v in values] for label, values in per_label.items()}
-                for offset, per_label in self.intervals.items()
-            },
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
-    @classmethod
-    def from_json_dict(
-        cls,
-        key: str,
-        fingerprint: str,
-        payload: Dict[str, Any],
-        from_cache: bool = True,
-    ) -> "CaptureResult":
-        """Rebuild a capture from a store record (inverse of :meth:`to_json_dict`)."""
-        return cls(
-            key=key,
-            fingerprint=fingerprint,
-            intervals={
-                offset: {
-                    label: np.asarray(values, dtype=float)
-                    for label, values in per_label.items()
-                }
-                for offset, per_label in payload["intervals"].items()
-            },
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            from_cache=from_cache,
-        )
+#: Captures one process keeps for reuse; past it the least recently used is
+#: evicted.  Bounded because ``repro worker`` processes outlive any one sweep.
+MEMO_CAPACITY = 16
+
+_memo: "OrderedDict[str, CaptureResult]" = OrderedDict()
 
 
 def run_capture(spec: CaptureSpec) -> CaptureResult:
     """Execute one gateway capture: the expensive half of a two-level cell.
 
     Pure function of the spec's fields, exactly like
-    :func:`repro.runner.cells.run_cell` — which is what makes the capture
-    cacheable and shareable across workers.
+    :func:`repro.runner.cells.run_cell` — which is what lets every process
+    recompute it instead of sharing it.
     """
-    start = time.perf_counter()
     streams = RandomStreams(seed=spec.seed)
     intervals: Dict[str, Dict[str, np.ndarray]] = {}
     for offset in spec.seed_offsets:
@@ -199,12 +169,27 @@ def run_capture(spec: CaptureSpec) -> CaptureResult:
                 label=f"{offset}-{label}",
                 with_network=False,
             )
-    return CaptureResult(
-        key=spec.key,
-        fingerprint=spec.fingerprint(),
-        intervals=intervals,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    return CaptureResult(key=spec.key, intervals=intervals)
+
+
+def resolve_capture(spec: CaptureSpec) -> CaptureResult:
+    """The capture for ``spec``, computed at most once per process while memoised.
+
+    Children of one capture run back to back in grid order, so a worker
+    computes each capture once and serves every later child from memory.
+    ``run_capture`` is looked up in this module at call time, so a patched
+    ``repro.runner.capture.run_capture`` sees every computation.
+    """
+    fingerprint = spec.fingerprint()
+    capture = _memo.get(fingerprint)
+    if capture is not None:
+        _memo.move_to_end(fingerprint)
+        return capture
+    capture = run_capture(spec)
+    _memo[fingerprint] = capture
+    if len(_memo) > MEMO_CAPACITY:
+        _memo.popitem(last=False)
+    return capture
 
 
 def hybrid_captures_from_gateway(
@@ -262,9 +247,11 @@ def hybrid_captures_from_gateway(
 
 __all__ = [
     "GATEWAY_SCENARIO_FIELDS",
+    "MEMO_CAPACITY",
     "CaptureSpec",
     "CaptureResult",
     "gateway_config_dict",
     "hybrid_captures_from_gateway",
+    "resolve_capture",
     "run_capture",
 ]

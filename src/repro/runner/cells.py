@@ -19,9 +19,10 @@ stores written before they existed stay warm.
 A cell may reference a shared gateway capture
 (:class:`~repro.runner.capture.CaptureSpec`) — the *two-level* form used by
 hybrid grids that evaluate one gateway under many network conditions.  Such a
-cell skips the event simulation and applies its scenario's analytic network
-noise to the parent capture instead; the runner resolves (and caches) the
-parent before scheduling the children.
+cell resolves the parent through a per-process memo
+(:func:`~repro.runner.capture.resolve_capture`) and applies its scenario's
+analytic network noise to it, so children of one capture share a single
+gateway simulation per process.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from repro.experiments.base import (
     collect_multiclass_intervals,
 )
 from repro.runner.capture import (
-    CaptureResult,
     CaptureSpec,
     gateway_config_dict,
     hybrid_captures_from_gateway,
+    resolve_capture,
 )
 from repro.runner.fingerprint import fingerprint_payload
 from repro.stats.kde import silverman_bandwidth
@@ -100,7 +101,8 @@ class SweepCell:
         (used by Figure 4(a)).
     capture:
         Optional shared gateway capture this cell is a child of (hybrid mode
-        only).  The runner resolves the capture first and injects its result.
+        only).  Executing the cell resolves the capture through the
+        per-process memo.
     noise_offsets:
         Optional per-cell tags for the hybrid network-noise streams, when
         they must be salted differently from ``seed_offsets`` — grid points
@@ -518,14 +520,14 @@ def _run_multiclass_cell(cell: SweepCell, features: Dict[str, Any], start: float
     )
 
 
-def run_cell(cell: SweepCell, capture: Optional[CaptureResult] = None) -> CellResult:
+def run_cell(cell: SweepCell) -> CellResult:
     """Execute one cell: capture, attack, summarise.
 
     Pure function of the cell's fields — the same cell always produces the
     same :class:`CellResult` (up to ``elapsed_seconds``), which is what makes
     both the process-pool fan-out and the on-disk cache sound.  A two-level
-    cell (``cell.capture`` set) additionally requires the parent capture's
-    result; the runner resolves and injects it.
+    cell (``cell.capture`` set) takes its gateway intervals from
+    :func:`~repro.runner.capture.resolve_capture`.
     """
     start = time.perf_counter()
     try:
@@ -540,22 +542,12 @@ def run_cell(cell: SweepCell, capture: Optional[CaptureResult] = None) -> CellRe
 
     train_offset, test_offset = cell.seed_offsets
     if cell.capture is not None:
-        if capture is None:
-            raise ConfigurationError(
-                f"cell {cell.key!r} is a two-level cell; the result of its gateway "
-                f"capture {cell.capture.key!r} must be supplied"
-            )
-        if capture.fingerprint != cell.capture.fingerprint():
-            raise ConfigurationError(
-                f"cell {cell.key!r}: supplied capture {capture.key!r} does not match "
-                f"the cell's capture spec"
-            )
         by_offset = hybrid_captures_from_gateway(
             cell.scenario,
             cell.intervals_per_class,
             cell.seed,
             cell.seed_offsets,
-            capture,
+            resolve_capture(cell.capture),
             noise_offsets=cell.noise_offsets,
         )
         train, test = by_offset[train_offset], by_offset[test_offset]

@@ -1,4 +1,4 @@
-"""The sweep runner: cache partitioning, capture resolution, accounting.
+"""The sweep runner: cache partitioning, execution, accounting.
 
 :class:`SweepRunner` executes a grid of :class:`~repro.runner.cells.SweepCell`
 objects, delegating *how* cache misses run to a pluggable
@@ -9,9 +9,8 @@ drained by ``repro worker`` processes) — and streaming every computed result
 into an optional :class:`~repro.runner.store.ResultsStore` so that repeated
 sweeps skip the simulation entirely.  Two-level cells (a shared gateway
 capture feeding per-scenario children, :mod:`repro.runner.capture`) are
-resolved in a first pass: each distinct capture fingerprint is served from
-the store or simulated once, then injected into every child that references
-it.
+ordinary tasks: each process that runs a child resolves its capture through
+a per-process memo, so the store only ever holds cell results.
 
 Guarantees:
 
@@ -34,15 +33,13 @@ Guarantees:
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.exceptions import ConfigurationError, SweepError
 from repro.runner.backends import create_backend
-from repro.runner.backends.base import FORKED_CAPTURES, Task, TaskFailure
-from repro.runner.capture import CaptureResult, CaptureSpec, run_capture
+from repro.runner.backends.base import TaskFailure
 from repro.runner.cells import CellResult, SweepCell, run_cell
 from repro.runner.store import ResultsStore
 
@@ -54,16 +51,12 @@ class SweepReport:
     ``hits`` counts cells served from the persistent store, ``misses`` cells
     actually simulated, and ``deduplicated`` cells that shared a fingerprint
     with another cell in the same sweep and rode along with its result.
-    ``capture_hits`` / ``captures_simulated`` account the shared gateway
-    captures of two-level cells the same way.
     """
 
     results: Dict[str, CellResult] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     deduplicated: int = 0
-    capture_hits: int = 0
-    captures_simulated: int = 0
     elapsed_seconds: float = 0.0
 
     def __getitem__(self, key: str) -> CellResult:
@@ -74,11 +67,6 @@ class SweepReport:
         line = f"{len(self.results)} cells, {self.misses} simulated, {self.hits} cache hits"
         if self.deduplicated:
             line += f", {self.deduplicated} deduplicated"
-        if self.captures_simulated or self.capture_hits:
-            line += (
-                f", {self.captures_simulated} gateway captures simulated, "
-                f"{self.capture_hits} capture cache hits"
-            )
         return line
 
 
@@ -95,7 +83,7 @@ class SweepRunner:
     store:
         Optional persistent cache.  Cells whose fingerprint is already stored
         are returned from the cache without simulating.  Required by the
-        ``queue`` backend (workers resolve shared captures through it).
+        ``queue`` backend (its work queue lives under the store root).
     mp_context:
         :mod:`multiprocessing` start method.  Defaults to ``"fork"`` on Linux
         (cheap worker startup, and no re-import of ``__main__`` — ``spawn``
@@ -106,8 +94,8 @@ class SweepRunner:
         Optional callable invoked with one line per completed cell.
     timeout:
         Optional per-attempt wall-clock bound in seconds (``process`` backend
-        only).  A cell (or capture) still running past it counts as a failed
-        attempt.  Because a stuck worker cannot be reclaimed, enforcing a
+        only).  A cell still running past it counts as a failed attempt.
+        Because a stuck worker cannot be reclaimed, enforcing a
         timeout always uses a worker pool, even at ``jobs=1``.
     retries:
         Extra attempts granted to a failing or timed-out cell before the
@@ -141,12 +129,6 @@ class SweepRunner:
             raise ConfigurationError(f"retries={retries!r} must be >= 0")
         self.jobs = jobs
         self.store = store
-        if mp_context is None:
-            # fork is only trusted on Linux; macOS lists it as available but
-            # forking a parent with initialized BLAS/ObjC state is unsafe
-            # (CPython itself switched the macOS default to spawn in 3.8).
-            mp_context = "fork" if sys.platform == "linux" else "spawn"
-        self._mp_context = mp_context
         self._progress = progress
         self.timeout = timeout
         self.retries = retries
@@ -169,8 +151,6 @@ class SweepRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cells_deduplicated = 0
-        self.capture_hits = 0
-        self.captures_simulated = 0
 
     # ------------------------------------------------------------------- api
     def run(self, cells: Iterable[SweepCell]) -> SweepReport:
@@ -207,42 +187,20 @@ class SweepRunner:
                 pending[fingerprint] = cell
         store_fingerprints = set(resolved)
 
-        captures = self._resolve_captures(list(pending.values()))
-        # Forked workers (and the inline path) read captures from the shared
-        # module-level map; spawn workers need the payload inside the task.
-        # Queue workers ignore both — they rebuild the cell from its config
-        # and fetch the capture from the store.
-        share_by_fork = self._mp_context == "fork"
-        tasks: List[Task] = []
-        for cell in pending.values():
-            injected = None
-            if cell.capture is not None:
-                fingerprint = cell.capture.fingerprint()
-                if share_by_fork:
-                    FORKED_CAPTURES[fingerprint] = captures[fingerprint][0]
-                else:
-                    injected = captures[fingerprint][0]
-            tasks.append(("cell", cell, injected))
-
-        try:
-            for outcome in self._backend.execute(tasks):
-                if isinstance(outcome, TaskFailure):
-                    raise SweepError(
-                        f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
-                        f"--- worker traceback ---\n{outcome.worker_traceback}"
-                    )
-                resolved[outcome.fingerprint] = outcome
-                if self.store is not None:
-                    self.store.put(
-                        outcome.fingerprint,
-                        pending[outcome.fingerprint].config_dict(),
-                        outcome.to_json_dict(),
-                    )
-                self._report(
-                    f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
+        for outcome in self._backend.execute(list(pending.values())):
+            if isinstance(outcome, TaskFailure):
+                raise SweepError(
+                    f"sweep cell {outcome.key!r} failed: {outcome.error}\n"
+                    f"--- worker traceback ---\n{outcome.worker_traceback}"
                 )
-        finally:
-            FORKED_CAPTURES.clear()
+            resolved[outcome.fingerprint] = outcome
+            if self.store is not None:
+                self.store.put(
+                    outcome.fingerprint,
+                    pending[outcome.fingerprint].config_dict(),
+                    outcome.to_json_dict(),
+                )
+            self._report(f"cell {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s")
 
         hits = misses = deduplicated = 0
         for cell in cell_list:
@@ -253,14 +211,10 @@ class SweepRunner:
                 misses += 1
             else:
                 deduplicated += 1
-        run_hits = sum(1 for _, from_cache in captures.values() if from_cache)
-        run_captures = sum(1 for _, from_cache in captures.values() if not from_cache)
         self.cells_seen += len(cell_list)
         self.cache_hits += hits
         self.cache_misses += misses
         self.cells_deduplicated += deduplicated
-        self.capture_hits += run_hits
-        self.captures_simulated += run_captures
 
         results = {
             cell.key: replace(resolved[assignments[cell.key]], key=cell.key)
@@ -271,8 +225,6 @@ class SweepRunner:
             hits=hits,
             misses=misses,
             deduplicated=deduplicated,
-            capture_hits=run_hits,
-            captures_simulated=run_captures,
             elapsed_seconds=time.perf_counter() - start,
         )
 
@@ -284,79 +236,15 @@ class SweepRunner:
         )
         if self.cells_deduplicated:
             line += f", {self.cells_deduplicated} deduplicated"
-        if self.captures_simulated or self.capture_hits:
-            line += (
-                f", {self.captures_simulated} gateway captures simulated, "
-                f"{self.capture_hits} capture cache hits"
-            )
         return line + f", jobs={self.jobs}, backend={self.backend_name}"
 
     # -------------------------------------------------------------- internals
-    def _resolve_captures(
-        self, cells: List[SweepCell]
-    ) -> Dict[str, Tuple[CaptureResult, bool]]:
-        """Serve or simulate every distinct gateway capture the cells need.
-
-        Returns fingerprint → (result, served_from_store).  Each distinct
-        capture is computed at most once per sweep and persisted like a cell
-        result (``kind="capture"``), so later sweeps — and other cells of
-        this one — reuse it without touching the event simulator.  Captures
-        are resolved (and stored) *before* any cell task is dispatched, which
-        is what lets queue workers on other hosts find them in the shared
-        store.
-        """
-        specs: Dict[str, CaptureSpec] = {}
-        for cell in cells:
-            if cell.capture is not None:
-                specs.setdefault(cell.capture.fingerprint(), cell.capture)
-        if not specs:
-            return {}
-
-        resolved: Dict[str, Tuple[CaptureResult, bool]] = {}
-        to_run: List[CaptureSpec] = []
-        for fingerprint, spec in specs.items():
-            record = (
-                self.store.get(fingerprint, kind="capture")
-                if self.store is not None
-                else None
-            )
-            if record is not None:
-                resolved[fingerprint] = (
-                    CaptureResult.from_json_dict(
-                        spec.key, fingerprint, record["result"], from_cache=True
-                    ),
-                    True,
-                )
-                self._report(f"gateway capture {spec.key}: cache hit")
-            else:
-                to_run.append(spec)
-
-        capture_tasks: List[Task] = [("capture", spec) for spec in to_run]
-        for outcome in self._backend.execute(capture_tasks):
-            if isinstance(outcome, TaskFailure):
-                raise SweepError(
-                    f"{outcome.unit} {outcome.key!r} failed: {outcome.error}\n"
-                    f"--- worker traceback ---\n{outcome.worker_traceback}"
-                )
-            resolved[outcome.fingerprint] = (outcome, False)
-            if self.store is not None:
-                self.store.put(
-                    outcome.fingerprint,
-                    specs[outcome.fingerprint].config_dict(),
-                    outcome.to_json_dict(),
-                    kind="capture",
-                )
-            self._report(
-                f"gateway capture {outcome.key}: simulated in {outcome.elapsed_seconds:.2f}s"
-            )
-        return resolved
-
     def _report(self, line: str) -> None:
         if self._progress is not None:
             self._progress(line)
 
 
-# ``run_cell`` / ``run_capture`` are re-exported here on purpose: backends
-# resolve them through this module's namespace at call time, which is the
-# seam the fault-injection tests monkeypatch.
-__all__ = ["SweepRunner", "SweepReport", "run_capture", "run_cell"]
+# ``run_cell`` is re-exported here on purpose: backends resolve it through
+# this module's namespace at call time, which is the seam the
+# fault-injection tests monkeypatch.
+__all__ = ["SweepRunner", "SweepReport", "run_cell"]

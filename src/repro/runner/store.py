@@ -14,14 +14,15 @@ Each line is a self-contained record::
 
     {"schema": 1, "kind": "cell", "fingerprint": "<sha256>", "config": {...}, "result": {...}}
 
-``fingerprint`` is the content hash of the cell (or capture) configuration
+``fingerprint`` is the content hash of the cell configuration
 (:meth:`repro.runner.cells.SweepCell.fingerprint`); ``config`` is the full
 configuration dict kept alongside for auditability (a record can be traced
 back to its scenario without the code that produced it); ``result`` is the
-:meth:`repro.runner.cells.CellResult.to_json_dict` (or
-:meth:`repro.runner.capture.CaptureResult.to_json_dict`) payload; ``kind``
-distinguishes ordinary sweep cells from shared gateway captures (a record
-without one is a cell).
+:meth:`repro.runner.cells.CellResult.to_json_dict` payload.  Every record
+this code writes is a ``"kind": "cell"`` record.  Stores written by older
+versions may also hold ``"kind": "capture"`` lines (shared gateway captures,
+which are now recomputed instead of stored): lookups never serve them and
+:meth:`ResultsStore.compact` drops them.
 
 Sharding keeps lookups O(1) file reads — a warm sweep never loads the whole
 store — and keeps any one directory small enough for ordinary tooling once
@@ -58,22 +59,19 @@ class StoreStats:
     """Health snapshot of a results store (``repro cache stats``).
 
     ``records`` counts winning records (one per shard, the same count as
-    ``len(store)``); ``cells`` / ``captures`` split them by record kind.
-    ``superseded`` counts the other readable lines of a shard — older
-    records for its fingerprint and lines naming another fingerprint, none
-    of which a lookup returns.  They are the waste a compaction targets,
-    though :meth:`ResultsStore.compact` deliberately leaves files it cannot
-    fully interpret (foreign-schema or truncated lines) untouched, so the
-    counter can stay non-zero after compacting.  ``schema_versions`` lists
-    every ``schema`` value
-    present, including versions this code cannot read — a store carrying
-    foreign versions after an upgrade/rollback is worth noticing in
-    nightly-sweep logs.
+    ``len(store)``).  ``superseded`` counts the other readable lines of a
+    shard — older records for its fingerprint, lines naming another
+    fingerprint and legacy capture records, none of which a lookup returns.
+    They are the waste a compaction targets, though
+    :meth:`ResultsStore.compact` deliberately leaves files it cannot fully
+    interpret (foreign-schema or truncated lines) untouched, so the counter
+    can stay non-zero after compacting.  ``schema_versions`` lists every
+    ``schema`` value present, including versions this code cannot read — a
+    store carrying foreign versions after an upgrade/rollback is worth
+    noticing in nightly-sweep logs.
     """
 
     records: int
-    cells: int
-    captures: int
     shard_files: int
     superseded: int
     total_bytes: int
@@ -84,8 +82,7 @@ class StoreStats:
     def __str__(self) -> str:
         versions = ", ".join(str(v) for v in self.schema_versions) or "(empty store)"
         return (
-            f"{self.records} records ({self.cells} cells, {self.captures} captures), "
-            f"{self.shard_files} shard files, "
+            f"{self.records} records, {self.shard_files} shard files, "
             f"{self.superseded} superseded duplicates, {self.total_bytes} bytes, "
             f"schema versions: {versions}"
         )
@@ -93,15 +90,21 @@ class StoreStats:
 
 @dataclass(frozen=True)
 class CompactionStats:
-    """Outcome of :meth:`ResultsStore.compact`."""
+    """Outcome of :meth:`ResultsStore.compact`.
+
+    ``captures_dropped`` counts ``"kind": "capture"`` lines left by versions
+    that stored gateway captures; they are not in ``superseded_dropped``.
+    """
 
     records_kept: int
     superseded_dropped: int
+    captures_dropped: int
 
     def __str__(self) -> str:
         return (
             f"{self.records_kept} records kept, "
-            f"{self.superseded_dropped} superseded duplicates dropped"
+            f"{self.superseded_dropped} superseded duplicates dropped, "
+            f"{self.captures_dropped} legacy capture records dropped"
         )
 
 
@@ -171,9 +174,10 @@ class ResultsStore:
     ) -> Optional[Dict[str, Any]]:
         """The record a lookup of shard ``path``'s fingerprint returns.
 
-        That is the last valid line (:meth:`read_records`) whose
+        That is the last valid cell line (:meth:`read_records`) whose
         ``fingerprint`` is the shard's file name; ``None`` when there is
-        none.  Lines naming another fingerprint are never served.  Lookups,
+        none.  Lines naming another fingerprint and lines of another
+        ``kind`` (legacy capture records) are never served.  Lookups,
         listings, :meth:`stats`, :meth:`compact` and the sqlite index all
         resolve a shard through this one rule.  ``records`` passes in the
         shard's already-parsed :meth:`read_records`, saving a second read.
@@ -182,23 +186,14 @@ class ResultsStore:
             records = cls.read_records(path)
         winner = None
         for record in records:
-            if record["fingerprint"] == path.stem:
+            if record["fingerprint"] == path.stem and record.get("kind", "cell") == "cell":
                 winner = record
         return winner
 
-    def get(self, fingerprint: str, kind: str = "cell") -> Optional[Dict[str, Any]]:
-        """The record for ``fingerprint``, or ``None`` on a cache miss.
+    def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """The cell record for ``fingerprint``, or ``None`` on a cache miss.
 
-        The shard's last record wins (:meth:`winning_record`).  ``kind``
-        filters out records of the other record family.
-
-        The kind filter applies *after* the winner is resolved: when a shard's
-        winning record is of the wrong ``kind``, the lookup returns ``None``
-        without falling back to an older same-kind record.  This is
-        deliberate last-record-wins semantics: the newest record for a
-        fingerprint is the truth about it, and a kind mismatch means the
-        caller is asking for a record family that fingerprint no longer is
-        (pinned by tests in ``tests/runner/test_store.py``).
+        The shard's last cell record wins (:meth:`winning_record`).
         """
         record = self._index.get(fingerprint)
         if record is None:
@@ -210,21 +205,13 @@ class ResultsStore:
             if record is None:
                 return None
             self._index[fingerprint] = record
-        if record.get("kind", "cell") != kind:
-            return None
         return record
 
-    def put(
-        self,
-        fingerprint: str,
-        config: Dict[str, Any],
-        result: Dict[str, Any],
-        kind: str = "cell",
-    ) -> None:
-        """Append one record to its shard file and index it."""
+    def put(self, fingerprint: str, config: Dict[str, Any], result: Dict[str, Any]) -> None:
+        """Append one cell record to its shard file and index it."""
         record = {
             "schema": SCHEMA_VERSION,
-            "kind": kind,
+            "kind": "cell",
             "fingerprint": fingerprint,
             "config": config,
             "result": result,
@@ -253,16 +240,16 @@ class ResultsStore:
     def compact(self) -> CompactionStats:
         """Rewrite every shard file to its winning record.
 
-        Superseded duplicates and lines naming another fingerprint are
-        dropped (:meth:`winning_record`), so the store's observable contents
-        are unchanged — and so are records this code version cannot
+        Superseded duplicates, lines naming another fingerprint and legacy
+        capture records are dropped (:meth:`winning_record`), so the store's
+        observable contents are unchanged — and so are records this code
+        version cannot
         interpret: a file containing foreign-schema or partial lines (e.g. a
         store restored from a cache written by a different
         ``SCHEMA_VERSION``) is left exactly as it is, so a rollback still
         finds its data.
         """
-        superseded = 0
-        kept = 0
+        superseded = captures = kept = 0
         for path in self.shard_files():
             records = self.read_records(path)
             winner = self.winning_record(path, records)
@@ -270,20 +257,23 @@ class ResultsStore:
                 # Foreign-schema or truncated lines present: not ours to drop.
                 kept += winner is not None
                 continue
+            legacy = sum(1 for record in records if record.get("kind") == "capture")
+            captures += legacy
+            superseded += len(records) - (winner is not None) - legacy
             if winner is None:
-                superseded += len(records)
                 path.unlink()
                 continue
             kept += 1
             if len(records) > 1:
-                superseded += len(records) - 1
                 # Rewrite atomically: a crash mid-compaction must never turn a
                 # cached fingerprint into a miss (the store's crash-tolerance
                 # contract covers compaction too).
                 scratch = path.with_suffix(".jsonl.tmp")
                 scratch.write_text(json.dumps(winner, sort_keys=True) + "\n", encoding="utf-8")
                 os.replace(scratch, path)
-        return CompactionStats(records_kept=kept, superseded_dropped=superseded)
+        return CompactionStats(
+            records_kept=kept, superseded_dropped=superseded, captures_dropped=captures
+        )
 
     # ------------------------------------------------------------------ stats
     @staticmethod
@@ -315,7 +305,7 @@ class ResultsStore:
         nightly-sweep logs, not the warm-sweep hot path.
         """
         shard_files = self.shard_files()
-        records = cells = captures = superseded = total_bytes = 0
+        records = superseded = total_bytes = 0
         schema_versions: set = set()
         for path in shard_files:
             total_bytes += path.stat().st_size
@@ -323,17 +313,9 @@ class ResultsStore:
             valid = self.read_records(path)
             winner = self.winning_record(path, valid)
             superseded += len(valid) - (winner is not None)
-            if winner is None:
-                continue
-            records += 1
-            if winner.get("kind", "cell") == "cell":
-                cells += 1
-            elif winner.get("kind") == "capture":
-                captures += 1
+            records += winner is not None
         return StoreStats(
             records=records,
-            cells=cells,
-            captures=captures,
             shard_files=len(shard_files),
             superseded=superseded,
             total_bytes=total_bytes,
@@ -360,10 +342,7 @@ class ResultsStore:
             yield fingerprint
 
     def __contains__(self, fingerprint: str) -> bool:
-        return (
-            self.get(fingerprint, kind="cell") is not None
-            or self.get(fingerprint, kind="capture") is not None
-        )
+        return self.get(fingerprint) is not None
 
     def __len__(self) -> int:
         return sum(1 for _ in self.fingerprints())

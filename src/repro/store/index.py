@@ -5,8 +5,8 @@ one ``write`` call and a warm sweep reads one shard per fingerprint.  Nothing
 about it can *answer questions* — which grid points exist, which experiments
 they belong to, what the per-seed detection rates are — without replaying a
 sweep's grid expansion.  :class:`StoreIndex` adds the read side: one sqlite
-file (``index.sqlite`` at the store root) mapping every winning record to its
-kind, seed, scenario scalars and result payload, plus a label table mapping
+file (``index.sqlite`` at the store root) mapping every winning cell record
+to its seed, scenario scalars and result payload, plus a label table mapping
 fingerprints back to the registered experiment / preset / grid-point key that
 produces them.
 
@@ -41,7 +41,7 @@ from repro.runner.store import ResultsStore
 
 #: Bumped whenever the sqlite layout changes; a mismatching index is
 #: dropped and rebuilt from the JSONL truth on the next refresh.
-INDEX_SCHEMA_VERSION = 2
+INDEX_SCHEMA_VERSION = 3
 
 #: The index database, living at the store root next to the shards.
 INDEX_FILENAME = "index.sqlite"
@@ -58,7 +58,6 @@ CREATE TABLE IF NOT EXISTS files (
 );
 CREATE TABLE IF NOT EXISTS records (
     fingerprint TEXT PRIMARY KEY,
-    kind TEXT NOT NULL,
     seed INTEGER,
     mode TEXT,
     trials INTEGER,
@@ -199,23 +198,19 @@ class StoreIndex:
 
     @staticmethod
     def _record_row(record: Dict[str, Any], source: str) -> Tuple[Any, ...]:
-        """One ``records`` row extracted from a store record.
+        """One ``records`` row extracted from a cell record.
 
         Scenario scalars are pulled with ``.get`` so records written by a
         foreign tool (or a future schema that adds fields) index with NULL
-        columns instead of failing the refresh.  Capture results are large
-        interval arrays, so ``result_json`` is kept for cells only.
+        columns instead of failing the refresh.
         """
         config = record.get("config") or {}
         scenario = config.get("scenario") or {}
         policy = scenario.get("policy") or {}
         result = record.get("result") or {}
-        kind = record.get("kind", "cell")
-        is_cell = kind == "cell"
         sample_sizes = config.get("sample_sizes")
         return (
             record["fingerprint"],
-            kind,
             _scalar(config.get("seed"), int),
             config.get("mode") if isinstance(config.get("mode"), str) else None,
             _scalar(config.get("trials"), int),
@@ -227,10 +222,8 @@ class StoreIndex:
             _scalar(scenario.get("n_hops"), int),
             _scalar(scenario.get("cross_utilization"), float),
             _scalar(result.get("measured_variance_ratio"), float),
-            json.dumps(result.get("empirical_detection_rate", {}), sort_keys=True)
-            if is_cell
-            else None,
-            json.dumps(result, sort_keys=True) if is_cell else None,
+            json.dumps(result.get("empirical_detection_rate", {}), sort_keys=True),
+            json.dumps(result, sort_keys=True),
             source,
         )
 
@@ -271,7 +264,7 @@ class StoreIndex:
                 if record is not None:
                     connection.execute(
                         "INSERT OR REPLACE INTO records VALUES "
-                        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                         self._record_row(record, relpath),
                     )
                     records_written += 1
@@ -323,8 +316,7 @@ class StoreIndex:
         seeds = [
             row["seed"]
             for row in connection.execute(
-                "SELECT DISTINCT seed FROM records "
-                "WHERE kind = 'cell' AND seed IS NOT NULL ORDER BY seed"
+                "SELECT DISTINCT seed FROM records WHERE seed IS NOT NULL ORDER BY seed"
             )
         ]
         connection.execute("DELETE FROM labels")

@@ -164,7 +164,7 @@ class StoreQuery:
         fingerprint)`` is reported once, under its alphabetically first
         preset — the physical record is the same either way.
         """
-        clauses = ["r.kind = 'cell'"]
+        clauses: List[str] = []
         parameters: List[Any] = []
         if experiment is not None:
             clauses.append("l.experiment = ?")
@@ -182,8 +182,8 @@ class StoreQuery:
             "SELECT l.experiment, l.preset, l.point_key, l.seed, l.fingerprint, "
             "r.policy_kind, r.variance_ratio, r.result_json "
             "FROM labels l JOIN records r ON r.fingerprint = l.fingerprint "
-            f"WHERE {' AND '.join(clauses)} "
-            "ORDER BY l.experiment, l.point_key, l.seed, l.fingerprint, l.preset",
+            + (f"WHERE {' AND '.join(clauses)} " if clauses else "")
+            + "ORDER BY l.experiment, l.point_key, l.seed, l.fingerprint, l.preset",
             parameters,
         ).fetchall()
         points: List[PointRecord] = []
@@ -213,7 +213,7 @@ class StoreQuery:
             "SELECT l.experiment, l.preset, l.point_key, l.seed, l.fingerprint, "
             "r.policy_kind, r.variance_ratio, r.result_json "
             "FROM labels l JOIN records r ON r.fingerprint = l.fingerprint "
-            "WHERE l.point_key = ? AND r.kind = 'cell' "
+            "WHERE l.point_key = ? "
             "ORDER BY l.seed, l.fingerprint, l.experiment, l.preset",
             (point_key,),
         ).fetchall()
@@ -300,7 +300,7 @@ class StoreQuery:
         missing: List[SweepCell] = []
         for cell in cells:
             row = connection.execute(
-                "SELECT 1 FROM records WHERE fingerprint = ? AND kind = 'cell'",
+                "SELECT 1 FROM records WHERE fingerprint = ?",
                 (cell.fingerprint(),),
             ).fetchone()
             if row is None:

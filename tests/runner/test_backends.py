@@ -156,7 +156,7 @@ class TestProcessBackendSemantics:
     """The pool loop's retry/timeout behaviour, pinned on the backend itself."""
 
     def _tasks(self, n=3):
-        return [("cell", cell, None) for cell in grid(n)]
+        return grid(n)
 
     def test_yields_one_outcome_per_task(self):
         outcomes = list(ProcessBackend(jobs=2).execute(self._tasks(3)))
@@ -178,7 +178,7 @@ class TestProcessBackendSemantics:
         outcomes = list(ProcessBackend(jobs=jobs).execute(tasks))
         elapsed = time.monotonic() - started
         assert not any(isinstance(o, TaskFailure) for o in outcomes)
-        assert sorted(o.key for o in outcomes) == sorted(cell.key for _, cell, _ in tasks)
+        assert sorted(o.key for o in outcomes) == sorted(cell.key for cell in tasks)
         assert elapsed < 4.0
 
     def test_empty_task_list_is_a_noop(self):
@@ -186,11 +186,11 @@ class TestProcessBackendSemantics:
         assert list(SerialBackend().execute([])) == []
 
     def test_failure_is_a_marker_not_an_exception(self):
-        tasks = [("cell", cell, None) for cell in grid(1, features=("bogus",))]
+        tasks = grid(1, features=("bogus",))
         outcomes = list(SerialBackend().execute(tasks))
         assert len(outcomes) == 1
         assert isinstance(outcomes[0], TaskFailure)
-        assert outcomes[0].key == tasks[0][1].key
+        assert outcomes[0].key == tasks[0].key
 
     def test_timeout_requeue_recovers_under_the_backend(self, tmp_path, monkeypatch):
         """Pool recycling after a timeout, driven on the backend directly."""
@@ -200,20 +200,20 @@ class TestProcessBackendSemantics:
         cells = grid(3)
         marker = tmp_path / "first-attempt-done"
 
-        def hang_once(cell, capture=None):
+        def hang_once(cell):
             if cell.key == cells[0].key and not marker.exists():
                 marker.write_text("")
                 import time as time_module
 
                 time_module.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         monkeypatch.setattr(runner_module, "run_cell", hang_once)
         lines = []
         backend = ProcessBackend(
             jobs=2, timeout=1.5, retries=1, progress=lines.append
         )
-        outcomes = list(backend.execute([("cell", c, None) for c in cells]))
+        outcomes = list(backend.execute(cells))
         assert len(outcomes) == 3
         assert not any(isinstance(o, TaskFailure) for o in outcomes)
         assert any("timed out" in line and "retrying" in line for line in lines)
@@ -223,17 +223,13 @@ class TestProcessBackendSemantics:
 
         cells = grid(1)
 
-        def hang(cell, capture=None):
+        def hang(cell):
             import time as time_module
 
             time_module.sleep(60.0)
 
         monkeypatch.setattr(runner_module, "run_cell", hang)
-        outcomes = list(
-            ProcessBackend(jobs=1, timeout=1.0).execute(
-                [("cell", cells[0], None)]
-            )
-        )
+        outcomes = list(ProcessBackend(jobs=1, timeout=1.0).execute(cells))
         assert len(outcomes) == 1
         assert isinstance(outcomes[0], TaskFailure)
         assert "timed out after 1s" in outcomes[0].error

@@ -2,21 +2,44 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import CollectionMode, Fig8Config, Fig8Experiment, ScenarioConfig
+import repro.runner.capture as capture_module
 from repro.runner import (
-    CaptureResult,
+    SCHEMA_VERSION,
     CaptureSpec,
     ResultsStore,
     SweepCell,
     SweepRunner,
-    run_capture,
     run_cell,
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts with no capture memoised in this process."""
+    capture_module._memo.clear()
+    yield
+    capture_module._memo.clear()
+
+
+@pytest.fixture
+def capture_calls(monkeypatch):
+    """Count the gateway captures computed in this process."""
+    calls = []
+    real = capture_module.run_capture
+
+    def counting(spec):
+        calls.append(spec.fingerprint())
+        return real(spec)
+
+    monkeypatch.setattr(capture_module, "run_capture", counting)
+    return calls
 
 
 def lab_scenario(utilization: float = 0.2) -> ScenarioConfig:
@@ -84,17 +107,6 @@ class TestCaptureSpec:
                 seed_offsets=("same", "same"),
             )
 
-    def test_result_round_trips_through_json(self):
-        spec = CaptureSpec(key="a", scenario=lab_scenario(), n_intervals=10, seed=11)
-        result = run_capture(spec)
-        restored = CaptureResult.from_json_dict(
-            result.key, result.fingerprint, result.to_json_dict()
-        )
-        assert restored.from_cache
-        for offset, per_label in result.intervals.items():
-            for label, values in per_label.items():
-                assert restored.intervals[offset][label].tolist() == values.tolist()
-
 
 class TestChildCellValidation:
     def test_child_requires_hybrid_mode(self):
@@ -141,10 +153,12 @@ class TestChildCellValidation:
             )
         assert "gateway configuration" in str(excinfo.value)
 
-    def test_running_a_child_without_its_capture_fails_loudly(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            run_cell(two_level_cell())
-        assert "two-level" in str(excinfo.value)
+    def test_running_a_child_alone_resolves_its_capture(self):
+        child = two_level_cell()
+        alone = run_cell(child)
+        flat = run_cell(replace(child, capture=None))
+        assert alone.empirical_detection_rate == flat.empirical_detection_rate
+        assert alone.measured_variance_ratio == flat.measured_variance_ratio
 
     def test_fingerprint_distinguishes_two_level_from_flat(self):
         child = two_level_cell()
@@ -209,53 +223,50 @@ class TestBitForBitEquivalence:
 
 
 class TestCaptureCaching:
-    def test_cold_run_simulates_one_capture_for_many_children(self, tmp_path):
+    def test_children_of_one_capture_compute_it_once(self, tmp_path, capture_calls):
         children = [two_level_cell(u) for u in (0.1, 0.2, 0.4)]
         assert len({cell.capture.fingerprint() for cell in children}) == 1
-        runner = SweepRunner(store=ResultsStore(tmp_path))
-        report = runner.run(children)
-        assert report.captures_simulated == 1
-        assert report.capture_hits == 0
-        assert "1 gateway captures simulated" in report.summary()
+        store = ResultsStore(tmp_path)
+        report = SweepRunner(jobs=1, store=store).run(children)
+        assert report.misses == len(children)
+        assert capture_calls == [children[0].capture.fingerprint()]
+        # The store holds the children's results and nothing else.
+        kinds = [
+            json.loads(line)["kind"]
+            for shard in store.shard_files()
+            for line in shard.read_text().splitlines()
+        ]
+        assert kinds == ["cell"] * len(children)
 
-    def test_warm_capture_performs_zero_gateway_simulations(self, tmp_path, monkeypatch):
-        """The acceptance bar: cached capture => the event simulator never runs."""
-        children = [two_level_cell(u) for u in (0.1, 0.4)]
-        cold = SweepRunner(store=ResultsStore(tmp_path)).run(children)
-
-        # Keep only the capture records: the children must recompute their
-        # noise, but the gateway must come from the cache.
-        capture_only = ResultsStore(tmp_path / "captures")
-        full = ResultsStore(tmp_path)
-        for fingerprint in full.fingerprints():
-            record = full.get(fingerprint, kind="capture")
-            if record is not None:
-                capture_only.put(fingerprint, record["config"], record["result"], kind="capture")
-
-        import repro.runner.capture as capture_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("gateway simulation ran despite a cached capture")
-
-        monkeypatch.setattr(capture_module, "simulate_gateway_capture", forbidden)
-        runner = SweepRunner(store=capture_only)  # jobs=1: children run inline
-        warm = runner.run(children)
-        assert warm.captures_simulated == 0
-        assert warm.capture_hits == 1
-        assert warm.misses == len(children)  # the cheap noise half recomputed
-        for cell in children:
-            assert (
-                warm[cell.key].empirical_detection_rate
-                == cold[cell.key].empirical_detection_rate
-            )
-
-    def test_fully_warm_run_needs_neither_captures_nor_cells(self, tmp_path):
+    def test_fully_warm_run_needs_neither_captures_nor_cells(self, tmp_path, capture_calls):
         children = [two_level_cell(u) for u in (0.1, 0.4)]
         SweepRunner(store=ResultsStore(tmp_path)).run(children)
+        capture_module._memo.clear()
+        capture_calls.clear()
         warm = SweepRunner(store=ResultsStore(tmp_path)).run(children)
         assert (warm.hits, warm.misses) == (2, 0)
-        assert warm.captures_simulated == 0
-        assert warm.capture_hits == 0  # warm cells never resolve their parent
+        assert capture_calls == []  # warm cells never resolve their parent
+
+    def test_memo_evicts_the_least_recently_used_capture(self, monkeypatch, capture_calls):
+        monkeypatch.setattr(capture_module, "MEMO_CAPACITY", 2)
+        cells = [
+            two_level_cell(0.2, key=f"child/seed={seed}", seed=seed) for seed in (11, 12, 13)
+        ]
+        first = [run_cell(cell) for cell in cells]
+        assert len(capture_calls) == 3
+        assert len(capture_module._memo) == 2
+        assert cells[0].capture.fingerprint() not in capture_module._memo
+
+        again = run_cell(cells[0])  # evicted: computed a second time
+        assert capture_calls == [cell.capture.fingerprint() for cell in cells] + [
+            cells[0].capture.fingerprint()
+        ]
+        recomputed, original = again.to_json_dict(), first[0].to_json_dict()
+        recomputed.pop("elapsed_seconds"), original.pop("elapsed_seconds")
+        assert recomputed == original  # bit-identical after recomputation
+
+        run_cell(cells[2])  # still memoised
+        assert len(capture_calls) == 4
 
     def test_capture_results_are_deterministic_across_jobs(self):
         children = [two_level_cell(u) for u in (0.1, 0.2, 0.3, 0.4)]
@@ -266,3 +277,37 @@ class TestCaptureCaching:
                 serial[cell.key].empirical_detection_rate
                 == parallel[cell.key].empirical_detection_rate
             )
+
+
+class TestLegacyCaptureRecords:
+    def test_compact_drops_a_stored_capture_and_warm_sweeps_still_hit(
+        self, tmp_path, capsys, capture_calls
+    ):
+        """A store written when captures were stored compacts to cells only."""
+        from repro.cli import main
+
+        child = two_level_cell()
+        SweepRunner(store=ResultsStore(tmp_path)).run([child])
+        legacy = ResultsStore(tmp_path).shard_path(child.capture.fingerprint())
+        legacy.parent.mkdir(parents=True, exist_ok=True)
+        legacy.write_text(
+            json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "kind": "capture",
+                    "fingerprint": child.capture.fingerprint(),
+                    "config": child.capture.config_dict(),
+                    "result": {"intervals": {}, "elapsed_seconds": 0.0},
+                }
+            )
+            + "\n"
+        )
+        assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
+        assert "1 legacy capture records dropped" in capsys.readouterr().out
+        assert not legacy.exists()
+
+        capture_module._memo.clear()
+        capture_calls.clear()
+        warm = SweepRunner(store=ResultsStore(tmp_path)).run([child])
+        assert (warm.hits, warm.misses) == (1, 0)
+        assert capture_calls == []

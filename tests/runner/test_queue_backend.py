@@ -85,30 +85,41 @@ def comparable(result) -> tuple:
     )
 
 
+def stored_kinds(store: ResultsStore) -> list:
+    """The ``kind`` of every line of every shard file, in shard order."""
+    return [
+        json.loads(line)["kind"]
+        for shard in store.shard_files()
+        for line in shard.read_text().splitlines()
+    ]
+
+
 SHORT = dict(lease_timeout=5.0, poll_interval=0.02)
 
 
 class TestWorkQueuePrimitives:
-    def test_enqueue_claim_release_cycle(self, tmp_path):
+    def test_enqueue_claim_cycle(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        entry = entry_from_task(("cell", grid(1)[0], None))
+        entry = entry_from_task(grid(1)[0])
         assert queue.enqueue(entry) is True
         assert queue.enqueue(entry) is False  # already queued
         lease = queue.claim("w1")
         assert lease is not None and lease.name.endswith(".w1.json")
         assert queue.claim("w2") is None  # nothing left
-        queue.release(lease)
+        assert queue.enqueue(entry) is False  # leased entries stay active
+        lease.unlink()  # what a worker does once its record is written
+        assert queue.enqueue(entry) is True
         assert queue.claim("w2") is not None
 
     def test_claim_is_atomic_under_racing_workers(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(grid(1)[0]))
         winners = [queue.claim(f"w{i}") for i in range(8)]
         assert sum(1 for lease in winners if lease is not None) == 1
 
     def test_stale_lease_is_stolen_only_after_heartbeat_expiry(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(grid(1)[0]))
         queue.heartbeat("owner")
         lease = queue.claim("owner")
         assert lease is not None
@@ -121,7 +132,7 @@ class TestWorkQueuePrimitives:
 
     def test_requeue_stale_returns_work_to_the_queue(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(grid(1)[0]))
         queue.claim("ghost")  # never heartbeats
         assert queue.requeue_stale(lease_timeout=60.0) == 1
         assert queue.claim("live") is not None
@@ -133,7 +144,7 @@ class TestWorkQueuePrimitives:
 
     def test_worker_ids_with_dots_parse_back_out_of_leases(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        queue.enqueue(entry_from_task(("cell", grid(1)[0], None)))
+        queue.enqueue(entry_from_task(grid(1)[0]))
         lease = queue.claim("host.example.com-42")
         fingerprint, owner = WorkQueue._parse_lease(lease)
         assert owner == "host.example.com-42"
@@ -157,7 +168,7 @@ class TestWorkQueuePrimitives:
     def test_status_counts_queue_state(self, tmp_path):
         queue = WorkQueue(tmp_path)
         for cell in grid(3):
-            queue.enqueue(entry_from_task(("cell", cell, None)))
+            queue.enqueue(entry_from_task(cell))
         queue.heartbeat("w")
         queue.claim("w")
         counters = queue.status()
@@ -199,9 +210,9 @@ class TestQueueParity:
         report = SweepRunner(
             jobs=2, store=store, backend="queue", backend_options=dict(SHORT)
         ).run(cells)
-        assert report.captures_simulated == 1  # one shared gateway capture
         for key in reference.results:
             assert comparable(report[key]) == comparable(reference[key])
+        assert stored_kinds(store) == ["cell"] * len(cells)
 
     def test_warm_queue_run_hits_the_cache_without_workers(self, tmp_path):
         cells = grid(3)
@@ -244,13 +255,13 @@ class TestQueueFailures:
         counters = tmp_path / "attempts"
         counters.mkdir()
 
-        def flaky(cell, capture=None):
+        def flaky(cell):
             counter = counters / cell.fingerprint()[:12]
             attempts = int(counter.read_text()) if counter.exists() else 0
             counter.write_text(str(attempts + 1))
             if attempts < 1:
                 raise RuntimeError(f"transient failure #{attempts + 1}")
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         monkeypatch.setattr(runner_module, "run_cell", flaky)
         lines: list = []
@@ -274,10 +285,25 @@ class TestQueueFailures:
             wait_timeout=0.5,
             poll_interval=0.02,
         )
-        tasks = [("cell", cell, None) for cell in grid(1)]
+        tasks = grid(1)
         with pytest.raises(SweepError) as excinfo:
             list(backend.execute(tasks))
         assert "repro worker" in str(excinfo.value)
+
+    def test_entries_of_another_queue_schema_fail_loudly(self, tmp_path):
+        """A capture entry left by an older queue layout is refused, not run."""
+        store = ResultsStore(tmp_path)
+        queue = WorkQueue(store.root)
+        entry = dict(entry_from_task(grid(1)[0]), schema=1, unit="capture")
+        queue.enqueue(entry)
+        assert run_worker(store.root, worker_id="w", max_tasks=1, **SHORT) == 1
+        outcomes = list(
+            merge_outcomes(
+                queue, {entry["fingerprint"]: entry}, poll_interval=0.02, wait_timeout=10.0
+            )
+        )
+        assert isinstance(outcomes[0], TaskFailure)
+        assert "queue entry schema 1" in outcomes[0].error
 
 
 class TestCrashRecovery:
@@ -297,15 +323,15 @@ class TestCrashRecovery:
         store = ResultsStore(tmp_path / "store")
         queue = WorkQueue(store.root)
         queue.ensure()
-        entry = entry_from_task(("cell", cells[0], None))
+        entry = entry_from_task(cells[0])
         queue.enqueue(entry)
 
         marker = tmp_path / "pass"
 
-        def sleepy(cell, capture=None):
+        def sleepy(cell):
             if not marker.exists():
                 time.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         monkeypatch.setattr(runner_module, "run_cell", sleepy)
         context = multiprocessing.get_context("fork")
@@ -357,7 +383,7 @@ class TestCrashRecovery:
         queue = WorkQueue(store.root)
         queue.ensure()
         cell = grid(1)[0]
-        entry = entry_from_task(("cell", cell, None))
+        entry = entry_from_task(cell)
         # A shard record from attempt 2 arrives while the merge loop still
         # tracks attempt 1 (e.g. the original owner reported after a steal
         # and re-enqueue): it must be skipped, not double-counted.
@@ -438,13 +464,20 @@ class TestDrainPending:
             stored.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
             assert stored == expected
 
-    def test_two_level_pending_cells_resolve_their_captures_first(self, tmp_path):
+    def test_two_level_pending_cells_drain_without_capture_records(self, tmp_path):
+        """Workers recompute the shared capture; the store holds only cells."""
         cells = two_level_cells(2)
+        reference = SweepRunner(backend="serial").run(cells)
         store = ResultsStore(tmp_path)
         self._seed_pending(store.root, cells)
         report = drain_pending(store.root, workers=2, **SHORT)
-        assert report.captures_computed == 1
         assert report.cells_computed == 2
+        assert stored_kinds(store) == ["cell"] * len(cells)
+        for cell in cells:
+            stored = store.get(cell.fingerprint())["result"]
+            expected = reference[cell.key].to_json_dict()
+            stored.pop("elapsed_seconds"), expected.pop("elapsed_seconds")
+            assert stored == expected
 
     def test_already_cached_cells_are_skipped(self, tmp_path):
         cells = grid(2)

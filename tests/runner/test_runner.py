@@ -163,13 +163,13 @@ class TestRetries:
         def counter_for(cell):
             return tmp_path / f"attempts-{cell.fingerprint()[:12]}"
 
-        def flaky(cell, capture=None):
+        def flaky(cell):
             counter = counter_for(cell)
             attempts = int(counter.read_text()) if counter.exists() else 0
             counter.write_text(str(attempts + 1))
             if attempts < fail_times:
                 raise RuntimeError(f"transient failure #{attempts + 1}")
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         return flaky, counter_for
 
@@ -212,12 +212,12 @@ class TestTimeouts:
 
         from repro.runner.cells import run_cell as real_run_cell
 
-        def sleepy(cell, capture=None):
+        def sleepy(cell):
             if cell.key in sleep_keys:
                 if tmp_path is not None and (tmp_path / "pass").exists():
-                    return real_run_cell(cell, capture=capture)
+                    return real_run_cell(cell)
                 time_module.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         return sleepy
 
@@ -264,13 +264,13 @@ class TestTimeouts:
 
         marker = tmp_path / "first-attempt-done"
 
-        def hang_once(cell, capture=None):
+        def hang_once(cell):
             if cell.key == cells[0].key and not marker.exists():
                 marker.write_text("")
                 import time as time_module
 
                 time_module.sleep(60.0)
-            return real_run_cell(cell, capture=capture)
+            return real_run_cell(cell)
 
         monkeypatch.setattr(runner_module, "run_cell", hang_once)
         lines = []

@@ -18,10 +18,18 @@ def store(tmp_path):
 RESULT = {"empirical_detection_rate": {"variance": {"50": 0.9}}, "measured_variance_ratio": 1.5}
 
 
-def raw_record(fingerprint, result, schema=SCHEMA_VERSION):
+def raw_record(fingerprint, result, schema=SCHEMA_VERSION, **extra):
     return json.dumps(
-        {"schema": schema, "fingerprint": fingerprint, "config": {}, "result": result}
+        {"schema": schema, "fingerprint": fingerprint, "config": {}, "result": result, **extra}
     )
+
+
+def write_capture_line(store, fingerprint):
+    """Append a ``"kind": "capture"`` line, as stores of older versions hold."""
+    path = store.shard_path(fingerprint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(raw_record(fingerprint, {"intervals": {}}, kind="capture") + "\n")
 
 
 class TestResultsStore:
@@ -84,12 +92,6 @@ class TestResultsStore:
         path.write_text(raw_record("xyz9", RESULT, schema=SCHEMA_VERSION + 1) + "\n")
         assert store.get("xyz9") is None
 
-    def test_kinds_are_separate_namespaces(self, store):
-        store.put("abc", {}, RESULT, kind="capture")
-        assert store.get("abc") is None
-        assert store.get("abc", kind="capture")["result"] == RESULT
-        assert "abc" in store
-
     def test_rejects_pathological_fingerprints_on_put(self, store):
         for bad in ("", "ab", "a/../b", "a b"):
             with pytest.raises(ConfigurationError):
@@ -135,13 +137,19 @@ class TestCompaction:
         assert (stats.records_kept, stats.superseded_dropped) == (1, 1)
         assert ResultsStore(store.root).get("old1")["result"] == RESULT
 
-    def test_compact_preserves_capture_kind(self, store):
-        store.put("abc", {}, RESULT, kind="capture")
-        store.put("abc", {}, RESULT, kind="capture")
-        store.compact()
-        reopened = ResultsStore(store.root)
-        assert reopened.get("abc", kind="capture") is not None
-        assert reopened.get("abc") is None
+    def test_compact_drops_legacy_capture_records(self, store):
+        write_capture_line(store, "abc")
+        write_capture_line(store, "abc")
+        store.put("def1", {}, RESULT)
+        stats = store.compact()
+        assert (stats.records_kept, stats.superseded_dropped, stats.captures_dropped) == (
+            1,
+            0,
+            2,
+        )
+        assert "2 legacy capture records dropped" in str(stats)
+        assert not store.shard_path("abc").exists()
+        assert ResultsStore(store.root).get("def1")["result"] == RESULT
 
 
 class TestStoreStats:
@@ -154,15 +162,14 @@ class TestStoreStats:
         assert stats.schema_versions == ()
         assert "(empty store)" in str(stats)
 
-    def test_counts_winners_kinds_and_superseded(self, store):
+    def test_counts_winners_and_superseded(self, store):
         store.put("aaa1", {}, RESULT)
         store.put("aaa1", {}, RESULT)  # superseded duplicate in the same shard
-        store.put("bbb2", {}, RESULT, kind="capture")
+        write_capture_line(store, "bbb2")  # never served, so never a record
         stats = store.stats()
-        assert stats.records == 2
-        assert (stats.cells, stats.captures) == (1, 1)
+        assert stats.records == 1
         assert stats.shard_files == 2
-        assert stats.superseded == 1
+        assert stats.superseded == 2
         assert stats.total_bytes > 0
         assert stats.schema_versions == (SCHEMA_VERSION,)
 
@@ -212,20 +219,21 @@ class TestDoctoredShards:
         assert ResultsStore(store.root).get("abcd01")["result"] == RESULT
 
 
-class TestKindFilterPrecedence:
-    """Pin the audited kind-filter semantics: precedence first, kind second.
+class TestLegacyCaptureLines:
+    """Stores written when gateway captures were stored still hold
+    ``"kind": "capture"`` lines; a lookup serves cell records only."""
 
-    The winning record (the last line of the shard) is the truth about a
-    fingerprint; a kind mismatch on it is a miss, never a
-    fallback to an older same-kind record.
-    """
-
-    def test_wrong_kind_shard_winner_hides_an_older_shard_record(self, store):
-        store.put("abc", {}, RESULT, kind="cell")
-        store.put("abc", {}, RESULT, kind="capture")  # last record wins
+    def test_capture_lines_are_never_served(self, store):
+        write_capture_line(store, "abc")
         reopened = ResultsStore(store.root)
-        assert reopened.get("abc", kind="cell") is None
-        assert reopened.get("abc", kind="capture") is not None
+        assert reopened.get("abc") is None
+        assert "abc" not in reopened
+        assert len(reopened) == 0
+
+    def test_a_trailing_capture_line_does_not_hide_the_cell_record(self, store):
+        store.put("abc", {}, RESULT)
+        write_capture_line(store, "abc")
+        assert ResultsStore(store.root).get("abc")["result"] == RESULT
 
 
 class TestShardWinner:
@@ -241,7 +249,7 @@ class TestShardWinner:
         assert len(store) == 1
         assert list(store.fingerprints()) == ["abc1"]
         stats = store.stats()
-        assert (stats.records, stats.cells, stats.superseded) == (1, 1, 1)
+        assert (stats.records, stats.superseded) == (1, 1)
         compacted = store.compact()
         assert (compacted.records_kept, compacted.superseded_dropped) == (1, 1)
         lines = store.shard_path("abc1").read_text().splitlines()

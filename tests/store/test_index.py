@@ -182,23 +182,28 @@ class TestRobustness:
         stats = StoreIndex(tmp_path).refresh()
         assert stats.total_records == 0
 
-    def test_capture_records_index_without_result_payload(self, tmp_path):
+    def test_a_legacy_capture_line_is_not_indexed(self, tmp_path):
         store = ResultsStore(tmp_path)
-        fingerprint = "dd" + "4" * 62
-        store.put(
-            fingerprint,
-            {"kind": "gateway-capture", "seed": 5, "scenario": {}},
-            {"intervals": {"train": {"low": [0.1] * 1000}}},
-            kind="capture",
+        store.put("ee" + "5" * 62, {"seed": 5}, RESULT)
+        path = store.shard_path("dd" + "4" * 62)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "kind": "capture",
+                    "fingerprint": path.stem,
+                    "config": {"kind": "gateway-capture", "seed": 5, "scenario": {}},
+                    "result": {"intervals": {"train": {"low": [0.1] * 1000}}},
+                }
+            )
+            + "\n",
+            encoding="utf-8",
         )
         index = StoreIndex(tmp_path)
-        index.refresh()
-        rows = query_one(
-            index,
-            "SELECT kind, result_json FROM records WHERE fingerprint = ?",
-            fingerprint,
-        )
-        assert rows == [("capture", None)]
+        stats = index.refresh()
+        assert stats.total_records == 1
+        assert query_one(index, "SELECT fingerprint FROM records") == [("ee" + "5" * 62,)]
 
     def test_schema_mismatch_drops_and_rebuilds(self, fixture_store):
         index = StoreIndex(fixture_store)

@@ -287,12 +287,11 @@ class TestCacheStats:
         store = ResultsStore(tmp_path)
         store.put("aaaa11", {}, {"x": 1})
         store.put("aaaa11", {}, {"x": 2})
-        store.put("bbbb22", {}, {"y": 1}, kind="capture")
+        store.put("bbbb22", {}, {"y": 1})
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache stats:" in out
-        assert "2 records (1 cells, 1 captures)" in out
-        assert "2 shard files" in out
+        assert "2 records, 2 shard files" in out
         assert "1 superseded duplicates" in out
         assert "schema versions: 1" in out
 
