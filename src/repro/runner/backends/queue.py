@@ -5,16 +5,21 @@ the results store (including workers on other hosts sharing the filesystem)
 can participate::
 
     <store root>/queue/
-    ├── queued/<fingerprint>.json            # unclaimed work, content-addressed
-    ├── leased/<fingerprint>.<worker>.json   # claimed work, one file per lease
+    ├── queued/<name>.json                   # unclaimed work, content-addressed
+    ├── leased/<name>.<worker>.json          # claimed work, one file per lease
     ├── results/<worker>.jsonl               # per-worker result shards
     ├── workers/<worker>.heartbeat           # liveness beacons (mtime = last beat)
     ├── tmp/                                 # staging for atomic enqueues
     └── clock                                # shared filesystem clock probe
 
+An entry's ``<name>`` (:func:`entry_name`) is its cell fingerprint,
+prefixed for a two-level cell by its capture's fingerprint.  Workers claim
+entries in sorted name order, so the children of one gateway capture are
+claimed one after another.
+
 The protocol rests on one primitive: ``os.rename`` is atomic on POSIX
-filesystems, so *claiming* a cell is renaming ``queued/<fp>.json`` to
-``leased/<fp>.<worker>.json`` — exactly one renamer wins, the losers get
+filesystems, so *claiming* a cell is renaming ``queued/<name>.json`` to
+``leased/<name>.<worker>.json`` — exactly one renamer wins, the losers get
 ``FileNotFoundError`` and move on.  Workers touch their heartbeat file while
 they run; a lease whose owner's heartbeat is older than the lease timeout is
 presumed dead and its cell is *stolen* (renamed to the thief's own lease) by
@@ -60,6 +65,7 @@ from repro.runner.backends.base import (
 from repro.runner.backends.codec import cell_from_config, verify_fingerprint
 from repro.runner.backends.process import default_mp_context
 from repro.runner.cells import CellResult, SweepCell
+from repro.runner.fingerprint import fingerprint_payload
 from repro.runner.store import ResultsStore
 
 #: Version of the queue entry / result-shard record layout.  Version 2
@@ -75,6 +81,10 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: Seconds idle workers (and the merging parent) sleep between scans.
 DEFAULT_POLL_INTERVAL = 0.05
+
+#: Hex digits of the capture fingerprint that prefix a two-level cell's
+#: entry name: enough to keep the children of one capture adjacent.
+_CAPTURE_PREFIX_LEN = 16
 
 #: Fingerprints become file names; accept only boring hash-like tokens.
 _FINGERPRINT_RE = re.compile(r"[0-9a-zA-Z]{3,128}")
@@ -102,6 +112,23 @@ def entry_from_task(cell: SweepCell, attempt: int = 1) -> Dict[str, Any]:
         "config": cell.config_dict(),
         "attempt": attempt,
     }
+
+
+def entry_name(entry: Dict[str, Any]) -> str:
+    """The file stem of ``entry`` under ``queued/`` and ``leased/``.
+
+    Workers claim in sorted name order.  A two-level cell is named
+    ``<capture fingerprint prefix>-<cell fingerprint>``, so the children of
+    one capture are claimed back to back and a worker's capture memo
+    (:func:`repro.runner.capture.resolve_capture`) serves all of them from
+    one computation, however many captures the queue holds.  Any other cell
+    is named by its fingerprint.  Retries of an entry keep its name.
+    """
+    fingerprint = str(entry.get("fingerprint", ""))
+    capture = entry.get("config", {}).get("capture")
+    if capture is None:
+        return fingerprint
+    return f"{fingerprint_payload(capture)[:_CAPTURE_PREFIX_LEN]}-{fingerprint}"
 
 
 class WorkQueue:
@@ -149,31 +176,32 @@ class WorkQueue:
                 f"hash-like token"
             )
         self.ensure()
-        if self.is_active(fingerprint):
+        name = entry_name(entry)
+        if self.is_active(name):
             return False
-        staging = self.tmp_dir / f"{fingerprint}.{os.getpid()}.json"
+        staging = self.tmp_dir / f"{name}.{os.getpid()}.json"
         staging.write_text(json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(staging, self.queued_dir / f"{fingerprint}.json")
+        os.replace(staging, self.queued_dir / f"{name}.json")
         return True
 
-    def is_active(self, fingerprint: str) -> bool:
-        """Whether the fingerprint is currently queued or leased."""
-        if (self.queued_dir / f"{fingerprint}.json").exists():
+    def is_active(self, name: str) -> bool:
+        """Whether the entry named ``name`` is currently queued or leased."""
+        if (self.queued_dir / f"{name}.json").exists():
             return True
         if not self.leased_dir.is_dir():
             return False
-        return any(self.leased_dir.glob(f"{fingerprint}.*.json"))
+        return any(self.leased_dir.glob(f"{name}.*.json"))
 
-    def discard_queued(self, fingerprint: str) -> None:
+    def discard_queued(self, name: str) -> None:
         """Drop a queued entry whose result arrived by another route."""
         try:
-            (self.queued_dir / f"{fingerprint}.json").unlink()
+            (self.queued_dir / f"{name}.json").unlink()
         except FileNotFoundError:
             pass
 
     # ----------------------------------------------------------------- leases
     def claim(self, worker_id: str) -> Optional[Path]:
-        """Atomically claim the first queued entry; None when queue is empty."""
+        """Atomically claim the first queued entry by name; None when queue is empty."""
         self.ensure()
         for path in sorted(self.queued_dir.glob("*.json")):
             target = self.leased_dir / f"{path.stem}.{worker_id}.json"
@@ -190,12 +218,12 @@ class WorkQueue:
             return None
         now = self.now()
         for path in sorted(self.leased_dir.glob("*.json")):
-            fingerprint, owner = self._parse_lease(path)
+            name, owner = self._parse_lease(path)
             if owner is None or owner == worker_id:
                 continue
             if self.heartbeat_fresh(owner, lease_timeout, now=now):
                 continue
-            target = self.leased_dir / f"{fingerprint}.{worker_id}.json"
+            target = self.leased_dir / f"{name}.{worker_id}.json"
             try:
                 os.replace(path, target)
             except FileNotFoundError:
@@ -210,11 +238,11 @@ class WorkQueue:
         now = self.now()
         requeued = 0
         for path in sorted(self.leased_dir.glob("*.json")):
-            fingerprint, owner = self._parse_lease(path)
+            name, owner = self._parse_lease(path)
             if owner is None or self.heartbeat_fresh(owner, lease_timeout, now=now):
                 continue
             try:
-                os.replace(path, self.queued_dir / f"{fingerprint}.json")
+                os.replace(path, self.queued_dir / f"{name}.json")
             except FileNotFoundError:
                 continue
             requeued += 1
@@ -226,10 +254,10 @@ class WorkQueue:
         if not name.endswith(".json"):
             return None, None
         stem = name[: -len(".json")]
-        fingerprint, sep, owner = stem.partition(".")
-        if not sep or not fingerprint or not owner:
+        name, sep, owner = stem.partition(".")
+        if not sep or not name or not owner:
             return None, None
-        return fingerprint, owner
+        return name, owner
 
     # ------------------------------------------------------------- heartbeats
     def heartbeat(self, worker_id: str) -> None:
@@ -546,7 +574,7 @@ def merge_outcomes(
                     entry["key"], fingerprint, record["result"], from_cache=False
                 )
                 pending.pop(fingerprint)
-                queue.discard_queued(fingerprint)
+                queue.discard_queued(entry_name(entry))
                 progressed = True
                 yield outcome
             elif record.get("status") == "failed":
@@ -844,6 +872,7 @@ __all__ = [
     "default_worker_id",
     "drain_pending",
     "entry_from_task",
+    "entry_name",
     "merge_outcomes",
     "run_worker",
 ]

@@ -13,10 +13,9 @@ This module splits such cells in two:
   the fields the gateway simulation reads (policy, payload rates,
   disturbance, packet size, warmup, seed, offsets — **not** the hop count,
   link rate or utilization, which only affect the analytic noise).
-  Captures are never stored: :func:`resolve_capture` computes each one at
-  most once per process and keeps it in a small in-memory memo, because the
-  vectorized kernel recomputes a capture faster than the store could read
-  it back.
+  Captures are never stored: :func:`resolve_capture` keeps the ones a
+  process computes in a small in-memory memo, because the vectorized kernel
+  recomputes a capture faster than the store could read it back.
 * the *children* — ordinary :class:`~repro.runner.cells.SweepCell` objects
   carrying a ``capture`` reference; executing one resolves the parent,
   applies the per-scenario network noise to its intervals and mounts the
@@ -173,11 +172,13 @@ def run_capture(spec: CaptureSpec) -> CaptureResult:
 
 
 def resolve_capture(spec: CaptureSpec) -> CaptureResult:
-    """The capture for ``spec``, computed at most once per process while memoised.
+    """The capture for ``spec``: from the memo, else computed and memoised.
 
-    Children of one capture run back to back in grid order, so a worker
-    computes each capture once and serves every later child from memory.
-    ``run_capture`` is looked up in this module at call time, so a patched
+    Every backend hands a worker the children of one capture back to back
+    (grid order; the queue's claim order groups them by capture), so the
+    memo serves all the children a worker takes from one computation, and
+    only a few captures need to stay in it at once.  ``run_capture`` is
+    looked up in this module at call time, so a patched
     ``repro.runner.capture.run_capture`` sees every computation.
     """
     fingerprint = spec.fingerprint()

@@ -59,10 +59,13 @@ class StoreStats:
     """Health snapshot of a results store (``repro cache stats``).
 
     ``records`` counts winning records (one per shard, the same count as
-    ``len(store)``).  ``superseded`` counts the other readable lines of a
-    shard — older records for its fingerprint, lines naming another
-    fingerprint and legacy capture records, none of which a lookup returns.
-    They are the waste a compaction targets, though
+    ``len(store)``).  ``superseded`` counts the other readable cell lines
+    of a shard — older records for its fingerprint and lines naming another
+    fingerprint — and ``legacy_captures`` the ``"kind": "capture"`` lines
+    left by versions that stored gateway captures.  Both are counted by the
+    same rule as :class:`CompactionStats` (:meth:`ResultsStore.waste`), and
+    neither is ever returned by a lookup.  They are the waste a compaction
+    targets, though
     :meth:`ResultsStore.compact` deliberately leaves files it cannot fully
     interpret (foreign-schema or truncated lines) untouched, so the counter
     can stay non-zero after compacting.  ``schema_versions`` lists every
@@ -74,6 +77,7 @@ class StoreStats:
     records: int
     shard_files: int
     superseded: int
+    legacy_captures: int
     total_bytes: int
     #: Every distinct ``schema`` value found, foreign types included (a
     #: record written by another tool may carry a string or float version).
@@ -83,7 +87,8 @@ class StoreStats:
         versions = ", ".join(str(v) for v in self.schema_versions) or "(empty store)"
         return (
             f"{self.records} records, {self.shard_files} shard files, "
-            f"{self.superseded} superseded duplicates, {self.total_bytes} bytes, "
+            f"{self.superseded} superseded duplicates, "
+            f"{self.legacy_captures} legacy capture records, {self.total_bytes} bytes, "
             f"schema versions: {versions}"
         )
 
@@ -94,6 +99,7 @@ class CompactionStats:
 
     ``captures_dropped`` counts ``"kind": "capture"`` lines left by versions
     that stored gateway captures; they are not in ``superseded_dropped``.
+    :meth:`ResultsStore.stats` splits the same two counts the same way.
     """
 
     records_kept: int
@@ -257,9 +263,9 @@ class ResultsStore:
                 # Foreign-schema or truncated lines present: not ours to drop.
                 kept += winner is not None
                 continue
-            legacy = sum(1 for record in records if record.get("kind") == "capture")
+            shard_superseded, legacy = self.waste(records, winner)
+            superseded += shard_superseded
             captures += legacy
-            superseded += len(records) - (winner is not None) - legacy
             if winner is None:
                 path.unlink()
                 continue
@@ -274,6 +280,19 @@ class ResultsStore:
         return CompactionStats(
             records_kept=kept, superseded_dropped=superseded, captures_dropped=captures
         )
+
+    @staticmethod
+    def waste(
+        records: List[Dict[str, Any]], winner: Optional[Dict[str, Any]]
+    ) -> Tuple[int, int]:
+        """``(superseded, legacy_captures)`` among one shard's ``records``.
+
+        Every line but the winner is waste: legacy ``"kind": "capture"``
+        lines count apart, the rest are superseded.  :meth:`stats` and
+        :meth:`compact` both count through this one rule.
+        """
+        legacy = sum(1 for record in records if record.get("kind") == "capture")
+        return len(records) - (winner is not None) - legacy, legacy
 
     # ------------------------------------------------------------------ stats
     @staticmethod
@@ -305,19 +324,22 @@ class ResultsStore:
         nightly-sweep logs, not the warm-sweep hot path.
         """
         shard_files = self.shard_files()
-        records = superseded = total_bytes = 0
+        records = superseded = legacy_captures = total_bytes = 0
         schema_versions: set = set()
         for path in shard_files:
             total_bytes += path.stat().st_size
             schema_versions.update(record.get("schema") for record in self._raw_records(path))
             valid = self.read_records(path)
             winner = self.winning_record(path, valid)
-            superseded += len(valid) - (winner is not None)
+            shard_superseded, legacy = self.waste(valid, winner)
+            superseded += shard_superseded
+            legacy_captures += legacy
             records += winner is not None
         return StoreStats(
             records=records,
             shard_files=len(shard_files),
             superseded=superseded,
+            legacy_captures=legacy_captures,
             total_bytes=total_bytes,
             schema_versions=tuple(
                 sorted((v for v in schema_versions if v is not None), key=str)

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.runner.capture as capture_module
 from repro.exceptions import ConfigurationError, SweepError
 from repro.experiments import CollectionMode, ScenarioConfig
 from repro.runner import CaptureSpec, ResultsStore, SweepCell, SweepRunner
@@ -27,6 +28,7 @@ from repro.runner.backends.queue import (
     WorkQueue,
     drain_pending,
     entry_from_task,
+    entry_name,
     merge_outcomes,
     run_worker,
 )
@@ -49,26 +51,26 @@ def grid(n_cells: int = 4, **overrides) -> list:
     return cells
 
 
-def two_level_cells(n: int = 2) -> list:
+def two_level_cells(n: int = 2, seed: int = 11) -> list:
     """Hybrid children sharing one gateway capture (the fig8 shape)."""
     cells = []
     for i in range(n):
         scenario = ScenarioConfig(n_hops=3, cross_utilization=0.1 + 0.2 * i)
         capture = CaptureSpec(
-            key="parent",
+            key=f"parent/seed={seed}",
             scenario=scenario,
             n_intervals=241,
-            seed=11,
+            seed=seed,
             seed_offsets=("train-x", "test-x"),
         )
         cells.append(
             SweepCell(
-                key=f"child/util={0.1 + 0.2 * i:.1f}",
+                key=f"child/seed={seed}/util={0.1 + 0.2 * i:.1f}",
                 scenario=scenario,
                 sample_sizes=(60,),
                 trials=4,
                 mode=CollectionMode.HYBRID,
-                seed=11,
+                seed=seed,
                 seed_offsets=("train-x", "test-x"),
                 capture=capture,
             )
@@ -92,6 +94,12 @@ def stored_kinds(store: ResultsStore) -> list:
         for shard in store.shard_files()
         for line in shard.read_text().splitlines()
     ]
+
+
+def interleaved_children(captures: int, children: int) -> list:
+    """Children of several captures, enqueued capture after capture per point."""
+    per_capture = [two_level_cells(children, seed=11 + i) for i in range(captures)]
+    return [cell for point in zip(*per_capture) for cell in point]
 
 
 SHORT = dict(lease_timeout=5.0, poll_interval=0.02)
@@ -176,6 +184,52 @@ class TestWorkQueuePrimitives:
         assert counters["leased"] == 1
         assert counters["stale_leases"] == 0
         assert counters["workers_live"] == 1
+
+
+class TestClaimOrder:
+    """Workers claim the children of one capture back to back."""
+
+    def test_children_of_one_capture_are_claimed_together(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        cells = interleaved_children(captures=3, children=3) + grid(2)
+        for cell in cells:
+            queue.enqueue(entry_from_task(cell))
+        claimed = []
+        while (lease := queue.claim("w")) is not None:
+            claimed.append(json.loads(lease.read_text())["config"].get("capture"))
+        assert len(claimed) == len(cells)
+        children = [c for c in claimed if c is not None]  # plain cells go anywhere
+        runs = [c for i, c in enumerate(children) if i == 0 or c != children[i - 1]]
+        assert len(runs) == 3
+
+    def test_entry_names_keep_the_cell_fingerprint(self):
+        plain = entry_from_task(grid(1)[0])
+        child = entry_from_task(two_level_cells(1)[0])
+        assert entry_name(plain) == plain["fingerprint"]
+        assert entry_name(child).endswith("-" + child["fingerprint"])
+        assert entry_name(child).startswith(
+            two_level_cells(1)[0].capture.fingerprint()[:16]
+        )
+
+    def test_worker_computes_each_capture_once_past_the_memo_bound(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real = capture_module.run_capture
+
+        def counting(spec):
+            calls.append(spec.fingerprint())
+            return real(spec)
+
+        monkeypatch.setattr(capture_module, "run_capture", counting)
+        monkeypatch.setattr(capture_module, "MEMO_CAPACITY", 1)
+        monkeypatch.setattr(capture_module, "_memo", type(capture_module._memo)())
+        cells = interleaved_children(captures=3, children=2)
+        queue = WorkQueue(tmp_path)
+        for cell in cells:
+            queue.enqueue(entry_from_task(cell))
+        assert run_worker(tmp_path, worker_id="w", max_idle=0.1, **SHORT) == len(cells)
+        assert sorted(calls) == sorted({cell.capture.fingerprint() for cell in cells})
 
 
 class TestQueueParity:

@@ -169,9 +169,20 @@ class TestStoreStats:
         stats = store.stats()
         assert stats.records == 1
         assert stats.shard_files == 2
-        assert stats.superseded == 2
+        assert (stats.superseded, stats.legacy_captures) == (1, 1)
+        assert "1 superseded duplicates, 1 legacy capture records" in str(stats)
         assert stats.total_bytes > 0
         assert stats.schema_versions == (SCHEMA_VERSION,)
+
+    def test_stats_counts_what_compact_drops(self, store):
+        store.put("aaa1", {}, RESULT)
+        store.put("aaa1", {}, RESULT)
+        write_capture_line(store, "aaa1")  # legacy line in a cell's shard
+        write_capture_line(store, "bbb2")
+        stats = store.stats()
+        compacted = store.compact()
+        assert (stats.superseded, stats.legacy_captures) == (1, 2)
+        assert (compacted.superseded_dropped, compacted.captures_dropped) == (1, 2)
 
     def test_reports_foreign_schema_versions(self, store):
         """Stats must surface versions this code cannot serve (get() skips them)."""
