@@ -149,7 +149,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         default="process",
         help="execution backend: 'process' (worker pool, the default), "
         "'serial' (inline, no pool/pickle overhead — fastest for warm or "
-        "small sweeps) or 'queue' (filesystem work queue under --cache-dir, "
+        "small sweeps; --jobs must be 1) or 'queue' (filesystem work queue under --cache-dir, "
         "executed by --jobs local workers and any external 'repro worker' "
         "processes; docs/distributed.md)",
     )

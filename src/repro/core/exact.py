@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as sps
-
 from repro.core.variance_ratio import check_ratio
 from repro.exceptions import AnalysisError
+
+#: Relative size below which a series term or continued-fraction step stops.
+_EPS = 1e-16
+#: Floor that keeps Lentz's continued fraction clear of division by zero.
+_TINY = 1e-300
+#: Iteration bound; near ``x = a`` both expansions need ~sqrt(a) steps.
+_MAX_ITER = 100_000
 
 
 def _check_n(sample_size: float) -> int:
@@ -28,6 +33,54 @@ def _check_n(sample_size: float) -> int:
     if n < 2:
         raise AnalysisError(f"sample size must be >= 2, got {sample_size!r}")
     return n
+
+
+def regularized_gamma(a: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete gamma functions ``(P(a, x), Q(a, x))``.
+
+    The chi-square CDF with ``k`` degrees of freedom at ``x`` is
+    ``P(k/2, x/2)`` and its survival function is ``Q(k/2, x/2)``.  Below
+    ``x = a + 1`` the power series for ``P`` converges fast and ``Q = 1 - P``
+    loses nothing (``Q`` is not small there); above it the modified Lentz
+    continued fraction gives ``Q`` directly, so a tiny upper tail keeps its
+    relative precision.  The prefactor ``x^a e^-x / Gamma(a)`` is formed in
+    logs; its rounding dominates the error, which stays below ~3e-11 for
+    ``a`` up to 25,000.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        for _ in range(_MAX_ITER):
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                break
+        p = total * prefactor
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    fraction = d
+    for i in range(1, _MAX_ITER):
+        numerator = -i * (i - a)
+        b += 2.0
+        d = numerator * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + numerator / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        step = d * c
+        fraction *= step
+        if abs(step - 1.0) < _EPS:
+            break
+    q = fraction * prefactor
+    return 1.0 - q, q
 
 
 def detection_rate_mean_exact(r: float) -> float:
@@ -44,10 +97,10 @@ def detection_rate_mean_exact(r: float) -> float:
         return 0.5
     # With sigma_l = 1 and sigma_h = sqrt(r), the densities cross at |x| = c:
     c = math.sqrt(r * math.log(r) / (r - 1.0))
-    # P(correct | low)  = P(|X_l| < c),  X_l ~ N(0, 1)
-    p_low = 2.0 * sps.norm.cdf(c) - 1.0
-    # P(correct | high) = P(|X_h| > c),  X_h ~ N(0, r)
-    p_high = 2.0 * sps.norm.sf(c / math.sqrt(r))
+    # P(correct | low)  = P(|X_l| < c) = erf(c / sqrt 2),       X_l ~ N(0, 1)
+    p_low = math.erf(c / math.sqrt(2.0))
+    # P(correct | high) = P(|X_h| > c) = erfc(c / sqrt(2 r)),  X_h ~ N(0, r)
+    p_high = math.erfc(c / math.sqrt(2.0 * r))
     # The Bayes rate is >= 0.5 exactly; clamp the ~1e-15 cancellation error
     # the two CDF evaluations can leave just below it for r -> 1.
     return min(max(0.5 * p_low + 0.5 * p_high, 0.5), 1.0)
@@ -68,11 +121,12 @@ def detection_rate_variance_exact(r: float, sample_size: float) -> float:
     dof = n - 1
     # Work in units of sigma_l^2 = 1, sigma_h^2 = r.
     threshold = r * math.log(r) / (r - 1.0)
-    p_low = sps.chi2.cdf(dof * threshold, df=dof)           # Y_l <= y*
-    p_high = sps.chi2.sf(dof * threshold / r, df=dof)       # Y_h  > y*
+    # Chi-square(dof) at z is P(dof/2, z/2); the high side takes the upper tail.
+    p_low, _ = regularized_gamma(0.5 * dof, 0.5 * dof * threshold)       # Y_l <= y*
+    _, p_high = regularized_gamma(0.5 * dof, 0.5 * dof * threshold / r)  # Y_h  > y*
     # The Bayes rate is >= 0.5 exactly; clamp the ~1e-15 cancellation error
     # the two CDF evaluations can leave just below it for r -> 1.
-    return min(max(0.5 * float(p_low) + 0.5 * float(p_high), 0.5), 1.0)
+    return min(max(0.5 * p_low + 0.5 * p_high, 0.5), 1.0)
 
 
 def detection_rate_entropy_exact(r: float, sample_size: float) -> float:
@@ -110,4 +164,5 @@ __all__ = [
     "detection_rate_mean_exact",
     "detection_rate_variance_exact",
     "detection_rate_entropy_exact",
+    "regularized_gamma",
 ]

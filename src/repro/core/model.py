@@ -20,6 +20,7 @@ path utilizations) so that theory and simulation share one parameterisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -174,10 +175,9 @@ class GaussianPIATModel:
 
     def pdf(self, rate_label: str, x: np.ndarray) -> np.ndarray:
         """Model PDF of the PIAT under the given payload-rate class."""
-        from scipy.stats import norm
-
         sigma = self._sigma_for(rate_label)
-        return norm.pdf(np.asarray(x, dtype=float), loc=self.tau, scale=sigma)
+        z = (np.asarray(x, dtype=float) - self.tau) / sigma
+        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
     def _sigma_for(self, rate_label: str) -> float:
         label = str(rate_label).strip().lower()

@@ -20,9 +20,8 @@ returns a :mod:`networkx` view for inspection and documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import NetworkError
@@ -33,6 +32,9 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.traffic.schedule import DiurnalProfile
 from repro.units import PAPER_PACKET_SIZE_BYTES, PAPER_TIMER_INTERVAL_S, rate_for_utilization
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,9 @@ def topology_graph(spec: TopologySpec) -> nx.DiGraph:
     subnet, plus one cross-traffic source/destination pair per loaded hop.
     Edges carry ``link_rate_bps`` attributes.
     """
+    # Imported here so no simulation or CLI path pays for networkx.
+    import networkx as nx
+
     graph = nx.DiGraph(name=spec.name)
     graph.add_node("subnet-A", role="protected-subnet")
     graph.add_node("GW1", role="sender-gateway")

@@ -27,9 +27,7 @@ any other stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import ScenarioConfig
@@ -38,6 +36,9 @@ from repro.network.path import UnprotectedPath
 from repro.network.topology import TopologySpec, build_path
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Edge relationship labels (CAIDA convention: ``customer-provider`` edges
 #: are stored with the customer first, ``peer`` edges are symmetric).
@@ -268,6 +269,9 @@ def as_graph(topology: ASTopology) -> nx.Graph:
     that one draws the routers inside a single path, this one draws the AS
     graph those paths are routed over.
     """
+    # Imported here so no simulation or CLI path pays for networkx.
+    import networkx as nx
+
     graph = nx.Graph(name=f"as-graph-{topology.spec.seed}")
     for as_id in range(topology.spec.n_as):
         graph.add_node(

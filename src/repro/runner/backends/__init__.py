@@ -62,6 +62,12 @@ def create_backend(
                 f"(a stuck cell cannot be reclaimed in-process); use "
                 f"--backend process"
             )
+        if jobs > 1:
+            raise ConfigurationError(
+                f"--jobs {jobs} cannot be honoured by the serial backend "
+                f"(it runs one cell at a time in-process); use "
+                f"--backend process"
+            )
         _reject_options("serial", options)
         return SerialBackend(retries=retries, progress=progress)
     if name == "process":

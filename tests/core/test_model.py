@@ -104,6 +104,16 @@ class TestSampling:
         # The high-rate PDF is wider, hence lower at the mode (Figure 4(a)).
         assert model.pdf("high", np.array([0.01]))[0] < pdf[1]
 
+    def test_pdf_matches_the_scipy_normal_density(self):
+        from scipy.stats import norm
+
+        model = GaussianPIATModel(tau=0.01, sigma_low=2e-5, sigma_high=4e-5)
+        xs = np.linspace(0.0098, 0.0102, 81)
+        for label, sigma in (("low", 2e-5), ("high", 4e-5)):
+            np.testing.assert_allclose(
+                model.pdf(label, xs), norm.pdf(xs, loc=0.01, scale=sigma), rtol=1e-12
+            )
+
     def test_describe_mentions_ratio(self):
         model = GaussianPIATModel(tau=0.01, sigma_low=2e-5, sigma_high=4e-5)
         assert "r=" in model.describe()

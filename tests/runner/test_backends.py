@@ -2,8 +2,8 @@
 
 The backend contract is what keeps every execution strategy byte-identical:
 these tests pin the serial/process parity at several worker counts, the
-backend factory's validation (serial rejects timeouts, unknown names are
-named), the ``--jobs auto`` resolution, and the pool-recycle/retry semantics
+backend factory's validation (serial rejects timeouts and ``jobs > 1``,
+unknown names are named), the ``--jobs auto`` resolution, and the pool-recycle/retry semantics
 exercised through an explicitly constructed backend rather than through the
 runner's wiring.
 """
@@ -100,6 +100,24 @@ class TestFactory:
         with pytest.raises(ConfigurationError) as excinfo:
             create_backend("serial", timeout=5.0)
         assert "process" in str(excinfo.value)
+
+    def test_serial_rejects_parallel_jobs_and_points_at_process(self):
+        assert create_backend("serial", jobs=1).name == "serial"
+        with pytest.raises(ConfigurationError) as excinfo:
+            create_backend("serial", jobs=2)
+        assert "--jobs 2" in str(excinfo.value)
+        assert "--backend process" in str(excinfo.value)
+
+    def test_serial_rejects_jobs_auto_above_one_on_the_cli(self, monkeypatch, capsys):
+        """``--jobs auto`` resolving to several CPUs is refused, not run serially."""
+        from repro.cli import main
+        from repro.runner.backends import base
+
+        monkeypatch.setattr(base, "available_cpu_count", lambda: 2)
+        argv = ["run", "fig6", "--preset", "smoke", "--backend", "serial", "--jobs", "auto"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err and "--jobs 2" in err and "--backend process" in err
 
     def test_queue_rejects_a_timeout_and_points_at_lease_expiry(self, tmp_path):
         from repro.runner import ResultsStore
